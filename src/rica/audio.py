@@ -8,12 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .contrast_engine import KERNEL_ORACLE_LIMIT
 from .data_model import Dataset, random_mixing_matrix, whiten
 from .errors import DegenerateCovariance, RateMismatch, TooShort
-from .evaluation import (BenchmarkConfig, ExperimentRecord, _kernel_objective,
-                         amari_distance, derive_trial_seed)
-from .optimizer import (OptimizerConfig, RotationParams, descend, givens_to_matrix,
-                        minimize_contrast, _initial_angles)
+from .evaluation import (BenchmarkConfig, ExperimentRecord, amari_distance, derive_trial_seed,
+                         fit_config)
+from .optimizer import minimize_contrast
 
 MIN_SAMPLES = 1000
 DEFAULT_FIT_SAMPLES = 8000
@@ -76,7 +76,7 @@ def _standardize(samples: np.ndarray) -> np.ndarray:
 
 def _fit_stride(n_total: int, fit_samples: int) -> slice:
     stride = max(1, n_total // fit_samples)
-    return slice(0, stride * fit_samples if stride > 1 else n_total, stride)
+    return slice(0, stride * fit_samples, stride)
 
 
 def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
@@ -93,9 +93,15 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
 
     The unmixing matrix is estimated on at most `fit_samples` evenly strided
     samples (cost control; the contrasts are stationary in time), then applied
-    to the full-length clips. Output clips are rescaled to peak 0.9.
+    to the full-length clips; the kernel oracles use at most
+    KERNEL_ORACLE_LIMIT of them. Output clips are rescaled to peak 0.9.
     """
     config = config or BenchmarkConfig(labels=("audio", "audio"))
+    method = method.upper()
+    if method not in ("RCC", "RGV", "KCC_ORACLE", "KGV_ORACLE"):
+        raise ValueError(f"unknown separation method {method!r}")
+    if method.endswith("_ORACLE"):
+        fit_samples = min(fit_samples, KERNEL_ORACLE_LIMIT)
     a, b = clips
     if a.sample_rate_hz != b.sample_rate_hz:
         raise RateMismatch(f"sample rates differ: {a.sample_rate_hz} vs {b.sample_rate_hz}")
@@ -121,25 +127,8 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
         raise DegenerateCovariance(
             "mixed channels are linearly dependent (identical sources?)"
         ) from exc
-    method = method.upper()
-    if method in ("RCC", "RGV"):
-        opt = OptimizerConfig(m=config.m, gamma=config.gamma, sigma=config.sigma,
-                              restarts=config.restarts, max_iters=config.max_iters,
-                              seed=derive_trial_seed(seed, 12), init="fastica",
-                              contrast=method.lower())
-        model = minimize_contrast(whitened, opt, whitening=transform)
-        full = model.full_matrix()
-    elif method in ("KCC_ORACLE", "KGV_ORACLE"):
-        cap = min(whitened.N, config.oracle_limit)
-        capped = Dataset(whitened.values[:, _fit_stride(whitened.N, cap)])
-        objective = _kernel_objective(capped, method, config)
-        opt = OptimizerConfig(seed=derive_trial_seed(seed, 12), init="fastica",
-                              max_iters=config.max_iters)
-        start = _initial_angles(capped, opt, 0, None)
-        angles, _, _, _ = descend(objective, start, opt.fd_step, opt.tol, opt.max_iters)
-        full = givens_to_matrix(RotationParams(angles), 2) @ transform.matrix
-    else:
-        raise ValueError(f"unknown separation method {method!r}")
+    opt = fit_config(config, method, seed=derive_trial_seed(seed, 12))
+    full = minimize_contrast(whitened, opt, whitening=transform).full_matrix()
     runtime = time.perf_counter() - t_start
 
     unmixed = full @ (mixed_full - mixed_full.mean(axis=1, keepdims=True))

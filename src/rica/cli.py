@@ -16,7 +16,7 @@ import numpy as np
 from . import __version__
 from .audio import read_wav, separate_audio, write_wav
 from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
-from .data_model import dataset_from_csv, dataset_to_csv, whiten
+from .data_model import Dataset, dataset_from_csv, dataset_to_csv, whiten
 from .errors import RicaError
 from .evaluation import (BenchmarkConfig, records_to_csv_rows, rotation_sweep,
                          run_benchmark, run_outlier_study, run_scaling_study,
@@ -127,7 +127,6 @@ def _cmd_sweep(args) -> int:
                            seed=args.seed)
     rows_b = sample_source(spec_by_label(args.sources.split(",")[1]), args.n,
                            seed=args.seed + 1)
-    from .data_model import Dataset
     sources = Dataset(np.vstack([rows_a, rows_b]), source=args.sources)
     points = rotation_sweep(sources, contrast=args.contrast, grid_degrees=args.grid,
                             seed=args.seed, mix_angle_degrees=args.mix_angle,
@@ -143,7 +142,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kernel_bound(args) -> int:
-    from .data_model import Dataset
     rng = np.random.default_rng(args.seed)
     data = Dataset(rng.standard_normal((1, args.n)), source="kernel-bound")
     kernel = KernelSpec(sigma=args.sigma)
@@ -175,7 +173,7 @@ def _cmd_unmix(args) -> int:
         "wall_clock_seconds": model.wall_clock_seconds,
         "whitening_mean": model.whitening.mean.tolist(),
         "whitening_matrix": model.whitening.matrix.tolist(),
-        "angles": model.rotation.angles.tolist(),
+        "rotation": model.rotation.tolist(),
         "unmixing_matrix": model.full_matrix().tolist(),
         "config": {"m": args.m, "gamma": args.gamma, "sigma": args.sigma,
                    "restarts": args.restarts, "init": args.init},
@@ -183,7 +181,6 @@ def _cmd_unmix(args) -> int:
     with open(args.out_model, "w") as handle:
         json.dump(payload, handle, indent=2)
     if args.out:
-        from .data_model import Dataset
         unmixed = Dataset(model.full_matrix() @ (data.values - model.whitening.mean[:, None]))
         dataset_to_csv(unmixed, args.out, comment=_header(args, "unmix"))
     print(f"final {model.contrast_name} = {model.final_contrast:.6f} "

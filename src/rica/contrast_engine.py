@@ -74,7 +74,6 @@ class PencilSpectrum:
     rho: float  # largest canonical correlation, clamped to [0, 1]
     n_s: int
     block_dim: int
-    clamped: int = 0  # eigenvalues clamped at the floor before taking logs
 
     @property
     def size(self) -> int:
@@ -150,27 +149,25 @@ def solve_pencil(pencil: CovariancePencil) -> PencilSpectrum:
                                 pencil.n_s, pencil.m)
 
 
-def _neg_half_log(values: np.ndarray, what: str) -> tuple[float, int]:
+def _neg_half_log(values: np.ndarray, what: str) -> float:
     clamped = int(np.sum(values < EIGENVALUE_CLAMP))
     if clamped:
         CLAMP_EVENTS[what] = CLAMP_EVENTS.get(what, 0) + clamped
         logger.warning("%s: clamped %d eigenvalue(s) at %.0e before log", what, clamped,
                        EIGENVALUE_CLAMP)
-    return float(-0.5 * np.sum(np.log(np.maximum(values, EIGENVALUE_CLAMP)))), clamped
+    return float(-0.5 * np.sum(np.log(np.maximum(values, EIGENVALUE_CLAMP))))
 
 
 def rcc(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> float:
     """Randomized canonical correlation contrast: -1/2 log(mu_min)."""
     spectrum = solve_pencil(covariance_blocks(feature_matrices, gamma))
-    value, _ = _neg_half_log(spectrum.eigenvalues[-1:], "rcc")
-    return value
+    return _neg_half_log(spectrum.eigenvalues[-1:], "rcc")
 
 
 def rgv(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> float:
     """Randomized generalized variance contrast: -1/2 sum_k log(mu_k)."""
     spectrum = solve_pencil(covariance_blocks(feature_matrices, gamma))
-    value, _ = _neg_half_log(spectrum.eigenvalues, "rgv")
-    return value
+    return _neg_half_log(spectrum.eigenvalues, "rgv")
 
 
 def _centered_grams(datasets: list[Dataset], kernel: KernelSpec, oracle_limit: int) -> list[np.ndarray]:
@@ -219,13 +216,11 @@ def kcc_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAU
                oracle_limit: int = KERNEL_ORACLE_LIMIT) -> float:
     """Exact kernel canonical correlation contrast: -1/2 log(mu_min)."""
     spectrum = kernel_pencil_spectrum(datasets, kernel, kappa, oracle_limit)
-    value, _ = _neg_half_log(spectrum.eigenvalues[-1:], "kcc_oracle")
-    return value
+    return _neg_half_log(spectrum.eigenvalues[-1:], "kcc_oracle")
 
 
 def kgv_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAULT_KAPPA,
                oracle_limit: int = KERNEL_ORACLE_LIMIT) -> float:
     """Exact kernel generalized variance contrast: -1/2 sum_k log(mu_k)."""
     spectrum = kernel_pencil_spectrum(datasets, kernel, kappa, oracle_limit)
-    value, _ = _neg_half_log(spectrum.eigenvalues, "kgv_oracle")
-    return value
+    return _neg_half_log(spectrum.eigenvalues, "kgv_oracle")

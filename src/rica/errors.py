@@ -37,10 +37,6 @@ class SingularDiagonal(RicaError):
     """A diagonal pencil block is numerically singular (regularizer too small)."""
 
 
-class AngleCountMismatch(RicaError):
-    """Number of rotation angles does not match n*(n-1)/2."""
-
-
 class NoProgress(RicaError):
     """Every optimizer restart failed its first line search."""
 

@@ -15,12 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA,
-                              KERNEL_ORACLE_LIMIT, kcc_oracle, kgv_oracle, rcc, rgv)
+                              kcc_oracle, kgv_oracle, rcc, rgv)
 from .data_model import Dataset, inject_outliers, mix, random_mixing_matrix, whiten
 from .errors import SingularMatrix
-from .optimizer import (OptimizerConfig, RotationParams, descend, draw_objective_maps,
-                        fastica_baseline, givens_to_matrix, minimize_contrast,
-                        _initial_angles, _objective_from_maps)
+from .optimizer import (OptimizerConfig, fastica_baseline, make_objective, minimize_contrast,
+                        plane_rotation)
 from .random_features import KernelSpec, apply_feature_map, draw_feature_map
 from .source_bank import catalog, sample_source, spec_by_label
 
@@ -58,7 +57,6 @@ class BenchmarkConfig:
     sigma: float = DEFAULT_SIGMA
     restarts: int = 1
     max_iters: int = 50
-    oracle_limit: int = KERNEL_ORACLE_LIMIT
     outlier_count: int = 0
     outlier_magnitude: float = 5.0
 
@@ -129,18 +127,12 @@ def _draw_trial_data(labels: tuple[str, ...], config: BenchmarkConfig,
     return mixed, np.linalg.inv(spec.matrix)
 
 
-def _kernel_objective(whitened: Dataset, method: str, config: BenchmarkConfig):
-    kernel = KernelSpec(sigma=config.sigma)
-    oracle = kcc_oracle if method == "KCC_ORACLE" else kgv_oracle
-    n = whitened.d
-
-    def objective(angles: np.ndarray) -> float:
-        q = givens_to_matrix(RotationParams(angles), n)
-        rotated = q @ whitened.values
-        parts = [Dataset(rotated[i:i + 1]) for i in range(n)]
-        return oracle(parts, kernel, kappa=config.kappa, oracle_limit=config.oracle_limit)
-
-    return objective
+def fit_config(config: BenchmarkConfig, method: str, seed: int) -> OptimizerConfig:
+    """Optimizer settings for a contrast method (RCC, RGV, KCC_ORACLE, KGV_ORACLE)."""
+    return OptimizerConfig(m=config.m, gamma=config.gamma, kappa=config.kappa,
+                           sigma=config.sigma, restarts=config.restarts,
+                           max_iters=config.max_iters, seed=seed, init="fastica",
+                           contrast=method.lower().removesuffix("_oracle"))
 
 
 def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConfig,
@@ -154,21 +146,9 @@ def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConf
     if method == "FASTICA":
         result = fastica_baseline(whitened, seed=derive_trial_seed(trial_seed, 400))
         full = result.rotation @ transform.matrix
-    elif method in ("RCC", "RGV"):
-        opt = OptimizerConfig(m=config.m, gamma=config.gamma, sigma=config.sigma,
-                              restarts=config.restarts, max_iters=config.max_iters,
-                              seed=derive_trial_seed(trial_seed, 500),
-                              init="fastica", contrast=method.lower())
-        model = minimize_contrast(whitened, opt, whitening=transform)
-        full = model.full_matrix()
     else:
-        objective = _kernel_objective(whitened, method, config)
-        opt = OptimizerConfig(seed=derive_trial_seed(trial_seed, 500),
-                              restarts=config.restarts, max_iters=config.max_iters,
-                              init="fastica")
-        start = _initial_angles(whitened, opt, 0, None)
-        angles, _, _, _ = descend(objective, start, opt.fd_step, opt.tol, opt.max_iters)
-        full = givens_to_matrix(RotationParams(angles), whitened.d) @ transform.matrix
+        opt = fit_config(config, method, seed=derive_trial_seed(trial_seed, 500))
+        full = minimize_contrast(whitened, opt, whitening=transform).full_matrix()
     runtime = time.perf_counter() - t_start
     return ExperimentRecord(
         source_labels=labels, N=config.N, method=method, seed=trial_seed,
@@ -281,39 +261,23 @@ def run_scaling_study(methods_and_sizes: dict[str, tuple[int, ...]],
 def rotation_sweep(sources: Dataset, contrast: str, grid_degrees: float, seed: int,
                    mix_angle_degrees: float = 0.0, m: int = DEFAULT_M,
                    gamma: float = DEFAULT_GAMMA, kappa: float = DEFAULT_KAPPA,
-                   sigma: float = DEFAULT_SIGMA,
-                   oracle_limit: int = KERNEL_ORACLE_LIMIT) -> list[tuple[float, float]]:
+                   sigma: float = DEFAULT_SIGMA) -> list[tuple[float, float]]:
     """Contrast value versus unmixing angle on [0, 90] degrees (two components).
 
     The sources are mixed by a plane rotation of `mix_angle_degrees`, whitened,
-    then scanned: the value at grid angle phi is the contrast of R(phi) applied
-    to the whitened mixture. The minimum is expected near (-mix_angle) mod 90.
+    then scanned: the value at grid angle phi is the contrast (the fit's own
+    objective) of R(phi) applied to the whitened mixture. The minimum is
+    expected near (-mix_angle) mod 90.
     """
     if sources.d != 2:
         raise ValueError("rotation sweep is defined for two components")
-    theta = np.deg2rad(mix_angle_degrees)
-    mixing = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    mixed = Dataset(mixing @ sources.values)
+    cfg = OptimizerConfig(m=m, gamma=gamma, kappa=kappa, sigma=sigma, seed=seed,
+                          contrast=contrast)
+    mixed = Dataset(plane_rotation(2, 0, 1, np.deg2rad(mix_angle_degrees)) @ sources.values)
     whitened, _ = whiten(mixed)
+    objective = make_objective(whitened, cfg)
     angles = np.arange(0.0, 90.0 + 1e-9, grid_degrees)
-    kernel = KernelSpec(sigma=sigma)
-    values = []
-    if contrast in ("rcc", "rgv"):
-        cfg = OptimizerConfig(m=m, gamma=gamma, sigma=sigma, seed=seed, contrast=contrast)
-        maps = draw_objective_maps(cfg, 2)
-        objective = _objective_from_maps(whitened, maps, cfg)
-        for deg in angles:
-            values.append(objective(np.array([np.deg2rad(deg)])))
-    elif contrast in ("kcc", "kgv"):
-        oracle = kcc_oracle if contrast == "kcc" else kgv_oracle
-        for deg in angles:
-            phi = np.deg2rad(deg)
-            q = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-            rotated = q @ whitened.values
-            values.append(oracle([Dataset(rotated[0:1]), Dataset(rotated[1:2])],
-                                 kernel, kappa=kappa, oracle_limit=oracle_limit))
-    else:
-        raise ValueError(f"unknown contrast {contrast!r}")
+    values = [objective(plane_rotation(2, 0, 1, np.deg2rad(deg))) for deg in angles]
     return list(zip(angles.tolist(), values))
 
 

@@ -1,10 +1,15 @@
-"""Minimize a dependence contrast over orthogonal unmixing rotations of
-whitened data, plus a deflation FastICA baseline used for comparison and
+"""Minimize a dependence contrast over orthogonal unmixings of whitened
+data, plus a deflation FastICA baseline used for comparison and
 initialization.
 
-Rotations are parametrized by Givens angles in fixed lexicographic plane
-order (0,1), (0,2), ..., (n-2, n-1); the materialized matrix is the product
-of the plane rotations in that order, always in SO(n).
+The fit works on the orthogonal group O(n) directly, in a moving chart at
+the current iterate Q: the plane generators E_ij (i < j, lexicographic
+order) span the skew-symmetric tangent directions, exp(h E_ij) is the plane
+rotation by h, and a step is Q <- exp(-t sum_ij g_ij E_ij) Q. Every iterate
+stays orthogonal with the determinant of its start. That determinant does
+not matter: the contrasts are invariant under sign flips of the rotated
+components (exactly so, with the antithetic feature phases of
+`draw_objective_maps`), so Q and diag(+-1) Q are the same unmixing.
 """
 
 from __future__ import annotations
@@ -14,30 +19,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_M, DEFAULT_SIGMA, covariance_blocks,
-                              rcc, rgv)
+from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA,
+                              kcc_oracle, kgv_oracle, rcc, rgv)
 from .data_model import Dataset, WhiteningTransform
-from .errors import AngleCountMismatch, NoProgress
+from .errors import DimensionMismatch, NoProgress
 from .random_features import FeatureMap, KernelSpec, apply_feature_map, draw_feature_map
 
 ARMIJO_C = 1e-4
 LINE_SEARCH_MAX_HALVINGS = 30
-
-
-@dataclass(frozen=True)
-class RotationParams:
-    """Givens angles, one per plane (i, j), i < j, lexicographic order."""
-
-    angles: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "angles", np.atleast_1d(np.asarray(self.angles, dtype=float)))
+CONTRASTS = ("rcc", "rgv", "kcc", "kgv")
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
     m: int = DEFAULT_M
     gamma: float = DEFAULT_GAMMA
+    kappa: float = DEFAULT_KAPPA
     sigma: float = DEFAULT_SIGMA
     fd_step: float = 1e-4
     tol: float = 1e-5
@@ -45,23 +42,23 @@ class OptimizerConfig:
     restarts: int = 3
     seed: int = 0
     init: str = "fastica"  # one of: random, fastica, given
-    contrast: str = "rgv"  # one of: rcc, rgv
+    contrast: str = "rgv"  # one of CONTRASTS; kcc and kgv are the exact kernel oracles
 
     def __post_init__(self):
         if self.fd_step <= 0 or self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
             raise ValueError("fd_step and tol must be positive; max_iters, restarts >= 1")
         if self.init not in ("random", "fastica", "given"):
             raise ValueError(f"unknown init {self.init!r}")
-        if self.contrast not in ("rcc", "rgv"):
+        if self.contrast not in CONTRASTS:
             raise ValueError(f"unknown contrast {self.contrast!r}")
 
 
 @dataclass(frozen=True)
 class UnmixingModel:
-    """The estimated unmixing: W = rotation_matrix @ whitening.matrix."""
+    """The estimated unmixing: W = rotation @ whitening.matrix, rotation orthogonal."""
 
     whitening: WhiteningTransform
-    rotation: RotationParams
+    rotation: np.ndarray
     contrast_name: str
     final_contrast: float
     iterations: int
@@ -69,12 +66,8 @@ class UnmixingModel:
     restart_index: int = 0
     objective_trace: tuple[float, ...] = ()
 
-    def rotation_matrix(self) -> np.ndarray:
-        n = self.whitening.matrix.shape[0]
-        return givens_to_matrix(self.rotation, n)
-
     def full_matrix(self) -> np.ndarray:
-        return self.rotation_matrix() @ self.whitening.matrix
+        return self.rotation @ self.whitening.matrix
 
 
 @dataclass(frozen=True)
@@ -84,69 +77,32 @@ class FastICAResult:
     sweeps: int
 
 
-def angle_count(n: int) -> int:
-    return n * (n - 1) // 2
+def plane_rotation(n: int, i: int, j: int, theta: float) -> np.ndarray:
+    """exp(theta E_ij): rotation by theta in the (i, j) plane, embedded in the identity."""
+    rot = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    rot[i, i] = rot[j, j] = c
+    rot[i, j], rot[j, i] = -s, s
+    return rot
 
 
-def _plane_order(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n - 1) for j in range(i + 1, n)]
+def expm_skew(a: np.ndarray) -> np.ndarray:
+    """exp(a) for real skew-symmetric a, from the Hermitian eigenproblem of i*a."""
+    w, v = np.linalg.eigh(1j * a)
+    return ((v * np.exp(-1j * w)) @ v.conj().T).real
 
 
-def givens_to_matrix(params: RotationParams, n: int) -> np.ndarray:
-    """Product of plane rotations in lexicographic order; orthogonal, det +1."""
-    if params.angles.shape[0] != angle_count(n):
-        raise AngleCountMismatch(
-            f"n={n} needs {angle_count(n)} angles, got {params.angles.shape[0]}"
-        )
-    q = np.eye(n)
-    for (i, j), theta in zip(_plane_order(n), params.angles):
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.eye(n)
-        rot[i, i] = c
-        rot[i, j] = -s
-        rot[j, i] = s
-        rot[j, j] = c
-        q = q @ rot
-    return q
+def _tangent(coords: np.ndarray, n: int) -> np.ndarray:
+    """sum_ij coords_ij E_ij over planes i < j in lexicographic order.
 
-
-def matrix_to_givens(q: np.ndarray) -> RotationParams:
-    """Invert `givens_to_matrix`: recover angles from a rotation matrix.
-
-    Works by spherical-coordinate peeling of the first column, then recursing
-    on the trailing (n-1)-dimensional block. The input must be in SO(n);
-    matrices with det -1 cannot be represented (flip one row first).
+    E_ij = e_j e_i^T - e_i e_j^T, the generator whose exponential is
+    `plane_rotation(n, i, j, 1)`.
     """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    if np.linalg.det(q) < 0:
-        raise ValueError("matrix has determinant -1; not a rotation")
-    angles: list[float] = []
-    work = q.copy()
-    for top in range(n - 1):
-        t = work[top:, top]
-        k = t.shape[0]
-        block = [0.0] * (k - 1)
-        # t's spherical coordinates: t[0] = cos(a_1) prod cos(a_j>=2),
-        # t[i] = sin(a_i) prod_{j>i} cos(a_j) with cos(a_j>=2) >= 0.
-        block[0] = float(np.arctan2(t[1], t[0]))
-        partial = float(np.hypot(t[0], t[1]))
-        for i in range(2, k):
-            block[i - 1] = float(np.arctan2(t[i], partial))
-            partial = float(np.hypot(partial, t[i]))
-        # Peel the recovered (top, .) rotations off and recurse on the rest.
-        inv = np.eye(k)
-        for idx in range(k - 2, -1, -1):
-            c, s = np.cos(block[idx]), np.sin(block[idx])
-            rot = np.eye(k)
-            rot[0, 0] = c
-            rot[0, idx + 1] = s
-            rot[idx + 1, 0] = -s
-            rot[idx + 1, idx + 1] = c
-            inv = inv @ rot
-        work[top:, top:] = inv @ work[top:, top:]
-        angles.extend(block)
-    return RotationParams(np.array(angles))
+    i, j = np.triu_indices(n, 1)
+    a = np.zeros((n, n))
+    a[j, i] = coords
+    a[i, j] = -coords
+    return a
 
 
 def draw_objective_maps(config: OptimizerConfig, n_components: int) -> list[FeatureMap]:
@@ -185,14 +141,25 @@ def _check_whitened(values: np.ndarray, tol: float = 1e-5) -> None:
         raise ValueError("optimizer input must be whitened (identity covariance)")
 
 
-def _objective_from_maps(whitened: Dataset, maps: list[FeatureMap], config: OptimizerConfig):
-    values = whitened.values
-    n = whitened.d
+def make_objective(whitened: Dataset, config: OptimizerConfig):
+    """The configured contrast of the components Q @ whitened, as a function of Q.
 
-    def objective(angles: np.ndarray) -> float:
-        q = givens_to_matrix(RotationParams(angles), n)
-        rotated = q @ values
-        feats = [apply_feature_map(maps[i], Dataset(rotated[i:i + 1])) for i in range(n)]
+    RCC and RGV use feature maps drawn once from config.seed, so the function
+    is deterministic; KCC and KGV are the exact kernel oracles.
+    """
+    _check_whitened(whitened.values)
+    n = whitened.d
+    kernel = KernelSpec(sigma=config.sigma)
+    maps = draw_objective_maps(config, n) if config.contrast in ("rcc", "rgv") else None
+
+    def objective(q: np.ndarray) -> float:
+        rotated = q @ whitened.values
+        parts = [Dataset(rotated[i:i + 1]) for i in range(n)]
+        if config.contrast == "kcc":
+            return kcc_oracle(parts, kernel, kappa=config.kappa)
+        if config.contrast == "kgv":
+            return kgv_oracle(parts, kernel, kappa=config.kappa)
+        feats = [apply_feature_map(maps[i], parts[i]) for i in range(n)]
         if config.contrast == "rcc":
             return rcc(feats, gamma=config.gamma)
         return rgv(feats, gamma=config.gamma)
@@ -200,54 +167,48 @@ def _objective_from_maps(whitened: Dataset, maps: list[FeatureMap], config: Opti
     return objective
 
 
-def contrast_objective(params: RotationParams, whitened: Dataset, config: OptimizerConfig) -> float:
-    """RCC or RGV of the rotated components, with run-frozen feature maps."""
-    _check_whitened(whitened.values)
-    maps = draw_objective_maps(config, whitened.d)
-    return _objective_from_maps(whitened, maps, config)(params.angles)
+def contrast_objective(q: np.ndarray, whitened: Dataset, config: OptimizerConfig) -> float:
+    """The configured contrast of the components q @ whitened."""
+    return make_objective(whitened, config)(q)
 
 
-def finite_diff_gradient(params: RotationParams, whitened: Dataset,
+def finite_diff_gradient(q: np.ndarray, whitened: Dataset,
                          config: OptimizerConfig) -> np.ndarray:
-    """Central differences per angle with step config.fd_step."""
-    _check_whitened(whitened.values)
-    maps = draw_objective_maps(config, whitened.d)
-    objective = _objective_from_maps(whitened, maps, config)
-    return _fd_gradient(objective, params.angles, config.fd_step)
+    """Central differences along each plane generator at q, step config.fd_step."""
+    return _fd_gradient(make_objective(whitened, config), q, config.fd_step)
 
 
-def _fd_gradient(objective, angles: np.ndarray, step: float) -> np.ndarray:
-    grad = np.empty_like(angles)
-    for k in range(angles.shape[0]):
-        bumped = angles.copy()
-        bumped[k] = angles[k] + step
-        up = objective(bumped)
-        bumped[k] = angles[k] - step
-        down = objective(bumped)
-        grad[k] = (up - down) / (2.0 * step)
-    return grad
+def _fd_gradient(objective, q: np.ndarray, step: float) -> np.ndarray:
+    """Slope of f(exp(h E_ij) q) at h = 0 per plane (i, j), lexicographic order."""
+    n = q.shape[0]
+    planes = zip(*np.triu_indices(n, 1))
+    return np.array([(objective(plane_rotation(n, i, j, step) @ q)
+                      - objective(plane_rotation(n, i, j, -step) @ q)) / (2.0 * step)
+                     for i, j in planes])
 
 
 def descend(objective, start: np.ndarray, fd_step: float, tol: float,
             max_iters: int) -> tuple[np.ndarray, float, int, list[float]]:
-    """Gradient descent with backtracking (halving) Armijo line search.
+    """Gradient descent on O(n) with backtracking (halving) Armijo line search.
 
-    Returns (angles, value, iterations, accepted-value trace). Raises
+    Returns (rotation, value, iterations, accepted-value trace). Raises
     NoProgress if the very first line search fails to find a decrease.
     """
-    angles = start.copy()
-    value = objective(angles)
+    q = np.array(start, dtype=float)
+    n = q.shape[0]
+    value = objective(q)
     trace = [value]
     step0 = 1.0
     for iteration in range(1, max_iters + 1):
-        grad = _fd_gradient(objective, angles, fd_step)
+        grad = _fd_gradient(objective, q, fd_step)
         grad_sq = float(grad @ grad)
         if grad_sq == 0.0:
-            return angles, value, iteration - 1, trace
+            return q, value, iteration - 1, trace
+        direction = _tangent(grad, n)
         step = step0
         accepted = False
         for _ in range(LINE_SEARCH_MAX_HALVINGS):
-            candidate = angles - step * grad
+            candidate = expm_skew(-step * direction) @ q
             cand_value = objective(candidate)
             if cand_value <= value - ARMIJO_C * step * grad_sq:
                 accepted = True
@@ -256,14 +217,14 @@ def descend(objective, start: np.ndarray, fd_step: float, tol: float,
         if not accepted:
             if iteration == 1:
                 raise NoProgress("first line search found no decrease")
-            return angles, value, iteration - 1, trace
+            return q, value, iteration - 1, trace
         improvement = value - cand_value
-        angles, value = candidate, cand_value
+        q, value = candidate, cand_value
         trace.append(value)
         step0 = min(1.0, step * 2.0)  # reuse the last scale, allow growth
         if improvement < tol:
-            return angles, value, iteration, trace
-    return angles, value, max_iters, trace
+            return q, value, iteration, trace
+    return q, value, max_iters, trace
 
 
 def fastica_baseline(whitened: Dataset, seed: int, tol: float = 1e-6,
@@ -310,63 +271,61 @@ def fastica_baseline(whitened: Dataset, seed: int, tol: float = 1e-6,
     return FastICAResult(rotation=rotation, converged=converged, sweeps=total_sweeps)
 
 
-def _initial_angles(whitened: Dataset, config: OptimizerConfig, restart: int,
-                    init_angles: np.ndarray | None) -> np.ndarray:
+def _start(whitened: Dataset, config: OptimizerConfig, restart: int,
+           init_rotation: np.ndarray | None) -> np.ndarray:
     n = whitened.d
-    k = angle_count(n)
     if restart == 0 and config.init == "given":
-        if init_angles is None:
-            raise ValueError("init='given' requires init_angles")
-        if np.asarray(init_angles).shape[0] != k:
-            raise AngleCountMismatch(f"init_angles needs {k} entries")
-        return np.asarray(init_angles, dtype=float).copy()
+        if init_rotation is None:
+            raise ValueError("init='given' requires init_rotation")
+        q = np.asarray(init_rotation, dtype=float)
+        if q.shape != (n, n):
+            raise DimensionMismatch(f"init_rotation must be {n}x{n}, got {q.shape}")
+        if not np.allclose(q @ q.T, np.eye(n), atol=1e-8):
+            raise ValueError("init_rotation must be orthogonal")
+        return q
     if restart == 0 and config.init == "fastica":
-        rotation = fastica_baseline(whitened, seed=_restart_seed(config.seed, 0)).rotation
-        if np.linalg.det(rotation) < 0:
-            rotation = rotation.copy()
-            rotation[-1] *= -1.0  # sign flip keeps the unmixing, fixes det
-        return matrix_to_givens(rotation).angles
+        return fastica_baseline(whitened, seed=_restart_seed(config.seed, 0)).rotation
+    # Haar-distributed on O(n): QR of a Gaussian matrix, signs fixed by diag(R).
     rng = np.random.default_rng(_restart_seed(config.seed, restart))
-    return rng.uniform(-np.pi, np.pi, size=k)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
 
 
 def minimize_contrast(whitened: Dataset, config: OptimizerConfig,
                       whitening: WhiteningTransform | None = None,
-                      init_angles: np.ndarray | None = None) -> UnmixingModel:
+                      init_rotation: np.ndarray | None = None) -> UnmixingModel:
     """Run `restarts` descents from different starts; keep the lowest contrast.
 
-    The first start honors config.init; later restarts are random. Feature
-    maps are drawn once from config.seed and shared by every restart, so the
-    objective is one fixed deterministic function for the whole run.
+    The first start honors config.init; later restarts are random. The
+    objective is one fixed deterministic function for the whole run (RCC/RGV
+    feature maps are drawn once from config.seed and shared by every restart).
     """
-    _check_whitened(whitened.values)
     if whitening is None:
         n = whitened.d
         whitening = WhiteningTransform(mean=np.zeros(n), matrix=np.eye(n))
-    maps = draw_objective_maps(config, whitened.d)
-    objective = _objective_from_maps(whitened, maps, config)
+    objective = make_objective(whitened, config)
     t_start = time.perf_counter()
     best = None
     failures = 0
     for restart in range(config.restarts):
-        start = _initial_angles(whitened, config, restart, init_angles)
+        start = _start(whitened, config, restart, init_rotation)
         try:
-            angles, value, iters, trace = descend(objective, start, config.fd_step,
-                                                  config.tol, config.max_iters)
+            q, value, iters, trace = descend(objective, start, config.fd_step,
+                                             config.tol, config.max_iters)
         except NoProgress:
             # A start already at a sharp minimum can fail its first search;
             # keep it as a (zero-iteration) candidate rather than discarding.
             failures += 1
             start_value = objective(start)
-            angles, value, iters, trace = start, start_value, 0, [start_value]
+            q, value, iters, trace = start, start_value, 0, [start_value]
         if best is None or value < best[1]:
-            best = (angles, value, iters, trace, restart)
+            best = (q, value, iters, trace, restart)
     if failures == config.restarts:
         raise NoProgress("every restart failed its first line search")
-    angles, value, iters, trace, restart = best
+    q, value, iters, trace, restart = best
     return UnmixingModel(
         whitening=whitening,
-        rotation=RotationParams(angles),
+        rotation=q,
         contrast_name=config.contrast.upper(),
         final_contrast=value,
         iterations=iters,

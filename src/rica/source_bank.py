@@ -30,7 +30,7 @@ near-Gaussian (|excess kurtosis| < 0.3); they are deliberately hard cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np

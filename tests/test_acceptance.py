@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rica.audio import synthetic_tone
 from rica.cli import main as cli_main
 from rica.contrast_engine import (covariance_blocks, kernel_pencil_spectrum, kgv_oracle,
                                   rcc, rgv, solve_pencil)
@@ -17,7 +16,7 @@ from rica.data_model import Dataset, whiten
 from rica.evaluation import (BenchmarkConfig, amari_distance, mean_amari_by,
                              rotation_sweep, run_benchmark, run_outlier_study,
                              run_scaling_study)
-from rica.optimizer import OptimizerConfig, finite_diff_gradient, RotationParams
+from rica.optimizer import OptimizerConfig, finite_diff_gradient, plane_rotation
 from rica.random_features import (KernelSpec, apply_feature_map, approximation_error_bound,
                                   draw_feature_map, empirical_approx_error)
 from rica.source_bank import sample_source, spec_by_label
@@ -230,11 +229,11 @@ def test_criterion_8_property_suites(tmp_path):
     data = Dataset(np.vstack([sample_source(spec, 800, seed=8),
                               sample_source(spec, 800, seed=1008)]))
     whitened, _ = whiten(data)
-    params = RotationParams([0.5])
+    q = plane_rotation(2, 0, 1, 0.5)
     grads = {}
     for step in (1e-3, 5e-4, 2.5e-4):
         cfg = OptimizerConfig(seed=9, contrast="rgv", m=64, fd_step=step)
-        grads[step] = finite_diff_gradient(params, whitened, cfg)[0]
+        grads[step] = finite_diff_gradient(q, whitened, cfg)[0]
     err_h = abs(grads[1e-3] - grads[5e-4])
     err_h2 = abs(grads[5e-4] - grads[2.5e-4])
     if not err_h2 <= 0.5 * err_h + 1e-8:

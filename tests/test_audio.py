@@ -3,6 +3,7 @@ import time
 import numpy as np
 import pytest
 
+from rica import audio
 from rica.audio import (AudioClip, read_wav, separate_audio, synthetic_tone, write_wav)
 from rica.contrast_engine import kgv_oracle, rgv
 from rica.data_model import Dataset
@@ -84,6 +85,16 @@ def test_separate_audio_round_trip_remix():
     matrix = np.array(pairs)
     best = max(matrix[0, 0] * matrix[1, 1], matrix[0, 1] * matrix[1, 0])
     assert best >= (1.0 - 0.05) ** 2  # RMS mismatch within 0.05 per channel
+
+
+def test_separate_audio_kernel_oracle_fits_capped_sample(monkeypatch):
+    # the KGV fit uses the shared fit path on at most the oracle limit of samples
+    monkeypatch.setattr(audio, "KERNEL_ORACLE_LIMIT", 300)
+    clips = (synthetic_tone(440.0, 2.0, 8000), synthetic_tone(650.0, 2.0, 8000, phase=0.5))
+    config = BenchmarkConfig(labels=("audio", "audio"), max_iters=3)
+    _, record = separate_audio(clips, method="kgv_oracle", config=config, seed=4)
+    assert record.config["fit_samples"] == 300
+    assert record.amari <= 0.05
 
 
 def test_separate_audio_already_mixed_has_no_amari():

@@ -132,7 +132,7 @@ def test_unmix_writes_model_json(tmp_path):
     assert run_cli(args) == 0
     payload = json.loads(model_path.read_text())
     assert payload["contrast"] == "RGV"
-    assert len(payload["angles"]) == 1
+    assert np.shape(payload["rotation"]) == (2, 2)
     assert np.isfinite(payload["final_contrast"])
     assert out_path.exists()
 

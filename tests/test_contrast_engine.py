@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rica.contrast_engine import (CovariancePencil, covariance_blocks, kcc_oracle,
-                                  kernel_pencil_spectrum, kgv_oracle, rcc, rgv,
-                                  solve_pencil)
+from rica.contrast_engine import (covariance_blocks, kcc_oracle, kernel_pencil_spectrum,
+                                  kgv_oracle, rcc, rgv, solve_pencil)
 from rica.data_model import Dataset
 from rica.errors import OracleSizeExceeded, SampleMismatch, SingularDiagonal
 from rica.random_features import KernelSpec, apply_feature_map, draw_feature_map

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from rica.errors import SingularMatrix
+from rica import optimizer
+from rica.errors import NoProgress, SingularMatrix
 from rica.evaluation import (BenchmarkConfig, amari_distance, amari_from_product,
                              derive_trial_seed, fit_runtime_exponent, mean_amari_by,
                              records_to_csv_rows, rotation_sweep, run_benchmark,
@@ -123,6 +124,24 @@ def test_kernel_oracle_method_runs_in_benchmark():
     assert len(records) == 2
     assert all(r.amari is not None and r.amari >= 0 for r in records)
     assert np.mean([r.amari for r in records]) <= 0.2
+
+
+def test_kernel_oracle_trial_runs_every_restart(monkeypatch):
+    # the first start has no descent direction: its line search fails at once
+    starts = []
+    real_descend = optimizer.descend
+
+    def descend(objective, start, *args):
+        starts.append(start)
+        if len(starts) == 1:
+            raise NoProgress("first line search found no decrease")
+        return real_descend(objective, start, *args)
+
+    monkeypatch.setattr(optimizer, "descend", descend)
+    config = BenchmarkConfig(labels=("c", "b"), N=250, restarts=2, max_iters=8)
+    record = run_single_trial(("c", "b"), "KGV_ORACLE", config, derive_trial_seed(19, 0))
+    assert len(starts) == 2
+    assert 0.0 <= record.amari <= 1.0
 
 
 def test_fit_runtime_exponent_recovers_slope():

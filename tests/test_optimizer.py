@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
-from rica.errors import AngleCountMismatch, NoProgress
+from rica.errors import DimensionMismatch, NoProgress
 from rica.evaluation import amari_distance
-from rica.optimizer import (FastICAResult, OptimizerConfig, RotationParams, angle_count,
-                            contrast_objective, descend, fastica_baseline,
-                            finite_diff_gradient, givens_to_matrix, matrix_to_givens,
-                            minimize_contrast)
+from rica.optimizer import (OptimizerConfig, contrast_objective, descend, expm_skew,
+                            fastica_baseline, finite_diff_gradient, minimize_contrast,
+                            plane_rotation)
 from rica.source_bank import sample_source, spec_by_label
+
+
+def rotation(theta):
+    return plane_rotation(2, 0, 1, theta)
+
+
+def random_skew(n, rng):
+    a = rng.standard_normal((n, n))
+    return a - a.T
 
 
 def uniform_pair(n, seed):
@@ -22,40 +30,42 @@ def whitened_uniform_pair(n, seed):
     return out
 
 
-def test_givens_zero_angles_is_identity():
-    np.testing.assert_array_equal(givens_to_matrix(RotationParams(np.zeros(3)), 3), np.eye(3))
+def test_expm_skew_zero_is_identity():
+    np.testing.assert_allclose(expm_skew(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
 
-def test_givens_quarter_turn():
-    q = givens_to_matrix(RotationParams([np.pi / 2]), 2)
+def test_plane_rotation_quarter_turn():
+    q = plane_rotation(2, 0, 1, np.pi / 2)
     np.testing.assert_allclose(q, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
 
 
-def test_givens_orthogonal_det_one():
+def test_expm_skew_orthogonal_det_one():
     rng = np.random.default_rng(3)
     for n in (2, 3, 6):
-        q = givens_to_matrix(RotationParams(rng.uniform(-np.pi, np.pi, angle_count(n))), n)
+        q = expm_skew(random_skew(n, rng))
         np.testing.assert_allclose(q @ q.T, np.eye(n), atol=1e-12)
         assert abs(np.linalg.det(q) - 1.0) < 1e-10
 
 
-def test_givens_angle_count_mismatch():
-    with pytest.raises(AngleCountMismatch):
-        givens_to_matrix(RotationParams(np.zeros(2)), 3)
-
-
-def test_matrix_to_givens_round_trip():
+def test_expm_skew_matches_plane_rotations():
+    # exp of one plane generator is that plane's rotation; exp(A) exp(-A) = I
     rng = np.random.default_rng(8)
     for n in (2, 3, 5):
-        q = givens_to_matrix(RotationParams(rng.uniform(-np.pi, np.pi, angle_count(n))), n)
-        back = givens_to_matrix(matrix_to_givens(q), n)
-        np.testing.assert_allclose(back, q, atol=1e-12)
+        for i, j in zip(*np.triu_indices(n, 1)):
+            theta = rng.uniform(-np.pi, np.pi)
+            gen = np.zeros((n, n))
+            gen[j, i], gen[i, j] = theta, -theta
+            np.testing.assert_allclose(expm_skew(gen), plane_rotation(n, i, j, theta),
+                                       atol=1e-12)
+        a = random_skew(n, rng)
+        np.testing.assert_allclose(expm_skew(a) @ expm_skew(-a), np.eye(n), atol=1e-12)
 
 
-def test_matrix_to_givens_rejects_reflections():
-    reflection = np.diag([1.0, -1.0])
-    with pytest.raises(ValueError):
-        matrix_to_givens(reflection)
+def test_given_init_rotation_shape_mismatch():
+    whitened = whitened_uniform_pair(300, seed=3)
+    config = OptimizerConfig(seed=0, init="given", restarts=1, m=16)
+    with pytest.raises(DimensionMismatch):
+        minimize_contrast(whitened, config, init_rotation=np.eye(3))
 
 
 def test_objective_lower_at_truth_than_at_45_degrees():
@@ -63,8 +73,8 @@ def test_objective_lower_at_truth_than_at_45_degrees():
     for seed in (1, 2, 3):
         data = whitened_uniform_pair(2000, seed=10 * seed)
         config = OptimizerConfig(seed=seed, contrast="rgv")
-        at_truth = contrast_objective(RotationParams([0.0]), data, config)
-        at_45 = contrast_objective(RotationParams([np.pi / 4]), data, config)
+        at_truth = contrast_objective(rotation(0.0), data, config)
+        at_45 = contrast_objective(rotation(np.pi / 4), data, config)
         diffs.append(at_45 - at_truth)
     assert np.mean(diffs) > 0
 
@@ -73,40 +83,40 @@ def test_objective_invariant_under_half_turn():
     data = whitened_uniform_pair(500, seed=4)
     config = OptimizerConfig(seed=11, contrast="rgv", m=64)
     for theta in (0.3, -1.2):
-        a = contrast_objective(RotationParams([theta]), data, config)
-        b = contrast_objective(RotationParams([theta + np.pi]), data, config)
+        a = contrast_objective(rotation(theta), data, config)
+        b = contrast_objective(rotation(theta + np.pi), data, config)
         assert abs(a - b) < 1e-9
 
 
 def test_objective_repeatable_with_frozen_maps():
     data = whitened_uniform_pair(400, seed=5)
     config = OptimizerConfig(seed=21, contrast="rcc", m=64)
-    params = RotationParams([0.7])
-    assert contrast_objective(params, data, config) == contrast_objective(params, data, config)
+    q = rotation(0.7)
+    assert contrast_objective(q, data, config) == contrast_objective(q, data, config)
 
 
 def test_objective_rejects_unwhitened_data():
     raw = uniform_pair(500, seed=6)
     scaled = Dataset(raw.values * np.array([[3.0], [1.0]]))
     with pytest.raises(ValueError):
-        contrast_objective(RotationParams([0.0]), scaled, OptimizerConfig(seed=0))
+        contrast_objective(rotation(0.0), scaled, OptimizerConfig(seed=0))
 
 
 def test_gradient_flat_when_gamma_huge():
     data = whitened_uniform_pair(500, seed=7)
     config = OptimizerConfig(seed=3, contrast="rgv", m=64, gamma=1e6)
-    grad = finite_diff_gradient(RotationParams([0.4]), data, config)
+    grad = finite_diff_gradient(rotation(0.4), data, config)
     assert np.abs(grad).max() <= 1e-6
 
 
 def test_gradient_step_halving_consistency():
     data = whitened_uniform_pair(800, seed=8)
     base = OptimizerConfig(seed=9, contrast="rgv", m=64, fd_step=1e-3)
-    params = RotationParams([0.5])
+    q = rotation(0.5)
     grads = {}
     for step in (1e-3, 5e-4, 2.5e-4):
         cfg = OptimizerConfig(seed=9, contrast="rgv", m=64, fd_step=step)
-        grads[step] = finite_diff_gradient(params, data, cfg)[0]
+        grads[step] = finite_diff_gradient(q, data, cfg)[0]
     err_h = abs(grads[1e-3] - grads[5e-4])        # ~ (3/4) C h^2
     err_h2 = abs(grads[5e-4] - grads[2.5e-4])     # ~ (3/16) C h^2
     assert err_h2 <= 0.5 * err_h + 1e-8
@@ -122,12 +132,12 @@ def test_gradient_small_at_located_minimum():
 
 def test_descend_raises_no_progress_on_adversarial_kink():
     # finite differences point uphill at this kink, so no step can decrease f
-    def objective(angles):
-        theta = angles[0]
+    def objective(q):
+        theta = np.arctan2(q[1, 0], q[0, 0])
         return 2.0 * abs(theta) - 0.1 * theta
 
     with pytest.raises(NoProgress):
-        descend(objective, np.zeros(1), fd_step=1e-4, tol=1e-8, max_iters=5)
+        descend(objective, np.eye(2), fd_step=1e-4, tol=1e-8, max_iters=5)
 
 
 def test_minimize_contrast_uniform_pair_50_trials():
@@ -149,9 +159,9 @@ def test_minimize_contrast_given_init_at_truth():
     # which needs N large enough to sit inside the 0.02 Amari budget
     whitened, transform = whiten(uniform_pair(4000, seed=77))
     config = OptimizerConfig(seed=2, contrast="rgv", init="given", restarts=1)
-    start_value = contrast_objective(RotationParams([0.0]), whitened, config)
+    start_value = contrast_objective(np.eye(2), whitened, config)
     model = minimize_contrast(whitened, config, whitening=transform,
-                              init_angles=np.zeros(1))
+                              init_rotation=np.eye(2))
     assert model.final_contrast <= start_value + config.tol
     assert amari_distance(model.full_matrix(), np.eye(2)) <= 0.02
 
@@ -168,7 +178,7 @@ def test_minimize_contrast_deterministic():
     config = OptimizerConfig(seed=17, restarts=2, m=64)
     a = minimize_contrast(whitened, config)
     b = minimize_contrast(whitened, config)
-    np.testing.assert_array_equal(a.rotation.angles, b.rotation.angles)
+    np.testing.assert_array_equal(a.rotation, b.rotation)
     assert a.final_contrast == b.final_contrast
     assert a.iterations == b.iterations
     assert a.restart_index == b.restart_index
@@ -182,8 +192,8 @@ def test_minimize_contrast_equivariant_to_known_rotation():
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     rotated = Dataset(rot @ whitened.values)
     shifted = minimize_contrast(rotated, config)
-    q_base = base.rotation_matrix()
-    q_shifted = shifted.rotation_matrix()
+    q_base = base.rotation
+    q_shifted = shifted.rotation
     assert amari_distance(q_shifted @ rot, q_base) <= 0.05
 
 
@@ -217,3 +227,37 @@ def test_fastica_two_gaussians_flagged_or_useless():
     # no better than an arbitrary rotation
     arbitrary = amari_distance(result.rotation, np.eye(2))
     assert (not result.converged) or arbitrary > 0.1
+
+
+def test_objective_invariant_under_component_sign_flips():
+    # the antithetic feature phases make this exact; it is why a fit may end
+    # anywhere on O(n), not only on SO(n)
+    rng = np.random.default_rng(36)
+    data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (3, 500))))
+    q = expm_skew(random_skew(3, rng))
+    for contrast in ("rgv", "rcc"):
+        config = OptimizerConfig(seed=12, contrast=contrast, m=64)
+        base = contrast_objective(q, data, config)
+        for signs in ([-1, 1, 1], [1, -1, -1], [-1, -1, -1]):
+            flipped = contrast_objective(np.diag(signs) @ q, data, config)
+            assert abs(flipped - base) <= 1e-10
+
+
+def test_minimize_contrast_separates_three_sources():
+    errors, fastica_errors = [], []
+    for seed in range(4):
+        rows = np.vstack([sample_source(spec_by_label(label), 1000, seed=60000 + 10 * seed + k)
+                          for k, label in enumerate("cbc")])
+        spec = random_mixing_matrix(3, 1.0, 2.0, seed=seed)
+        whitened, transform = whiten(mix(Dataset(rows), spec))
+        truth = np.linalg.inv(spec.matrix)
+        model = minimize_contrast(whitened, OptimizerConfig(seed=seed, m=64, restarts=1),
+                                  whitening=transform)
+        q = model.rotation
+        np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-10)
+        errors.append(amari_distance(model.full_matrix(), truth))
+        fastica = fastica_baseline(whitened, seed=seed).rotation @ transform.matrix
+        fastica_errors.append(amari_distance(fastica, truth))
+    print(f"3 sources: mean Amari RGV={np.mean(errors):.3f} FastICA={np.mean(fastica_errors):.3f}")
+    assert np.mean(errors) <= 0.10
+    assert np.mean(errors) <= np.mean(fastica_errors)
