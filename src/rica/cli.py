@@ -111,7 +111,8 @@ def _cmd_scaling(args) -> int:
              ((chunk.split(":")[0], chunk) for chunk in args.plan.split(","))}
     plan = {m.upper() if m.upper() in ("RCC", "RGV") else m.upper() + "_ORACLE": ns
             for m, ns in sizes.items()}
-    study = run_scaling_study(plan, repetitions=args.reps)
+    study = run_scaling_study(plan, BenchmarkConfig(labels=("c", "c"), master_seed=args.seed),
+                              repetitions=args.reps)
     rows = ["method,N,median_seconds"]
     for point in study.points:
         rows.append(f"{point.method},{point.N},{repr(point.median_seconds)}")
@@ -170,7 +171,6 @@ def _cmd_unmix(args) -> int:
         "contrast": model.contrast_name,
         "final_contrast": model.final_contrast,
         "iterations": model.iterations,
-        "wall_clock_seconds": model.wall_clock_seconds,
         "whitening_mean": model.whitening.mean.tolist(),
         "whitening_matrix": model.whitening.matrix.tolist(),
         "rotation": model.rotation.tolist(),
@@ -191,8 +191,7 @@ def _cmd_unmix(args) -> int:
 def _cmd_separate(args) -> int:
     clips = (read_wav(args.in1), read_wav(args.in2))
     config = BenchmarkConfig(labels=("audio", "audio"), m=args.m, gamma=args.gamma,
-                             kappa=args.kappa, sigma=args.sigma, restarts=1,
-                             max_iters=args.max_iters)
+                             kappa=args.kappa, sigma=args.sigma, max_iters=args.max_iters)
     (out1, out2), record = separate_audio(
         clips, method=args.method, config=config, seed=args.seed,
         already_mixed=args.already_mixed, fit_samples=args.fit_samples)
@@ -229,6 +228,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="bench.csv")
     p.add_argument("--timing", choices=["none", "wall"], default="none",
                    help="'wall' records runtimes (breaks byte-identical reruns)")
+    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--max-iters", type=int, default=50)
     _common_contrast_flags(p)
 
     p = add("outliers", _cmd_outliers, "robustness to injected outliers")
@@ -238,6 +239,8 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=50)
     p.add_argument("--methods", default="fastica,rgv")
     p.add_argument("--out", default="outliers.csv")
+    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--max-iters", type=int, default=50)
     _common_contrast_flags(p)
 
     p = add("scaling", _cmd_scaling, "contrast-evaluation runtime scaling")
@@ -293,10 +296,6 @@ def _common_contrast_flags(p) -> None:
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
     p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    if not any(a.dest == "restarts" for a in p._actions):
-        p.add_argument("--restarts", type=int, default=1)
-    if not any(a.dest == "max_iters" for a in p._actions):
-        p.add_argument("--max-iters", type=int, default=50)
 
 
 def main(argv=None) -> int:

@@ -62,9 +62,6 @@ class WhiteningTransform:
     mean: np.ndarray
     matrix: np.ndarray
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        return self.matrix @ (values - self.mean[:, None])
-
 
 @dataclass(frozen=True)
 class MixingSpec:
@@ -98,8 +95,8 @@ def whiten(data: Dataset, eigen_floor: float = 1e-12) -> tuple[Dataset, Whitenin
     """Center the data and map it to identity empirical covariance.
 
     Uses the symmetric eigendecomposition C = U diag(w) U^T of the empirical
-    covariance and applies U diag(w^-1/2) U^T. Eigenvalues at or below
-    ``eigen_floor`` times the largest signal rank deficiency.
+    covariance and applies U diag(w^-1/2) U^T. An eigenvalue at or below
+    ``eigen_floor`` times the largest one signals rank deficiency.
 
     Raises
     ------

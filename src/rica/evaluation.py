@@ -14,13 +14,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA,
-                              kcc_oracle, kgv_oracle, rcc, rgv)
+from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
 from .data_model import Dataset, inject_outliers, mix, random_mixing_matrix, whiten
 from .errors import SingularMatrix
 from .optimizer import (OptimizerConfig, fastica_baseline, make_objective, minimize_contrast,
                         plane_rotation)
-from .random_features import KernelSpec, apply_feature_map, draw_feature_map
 from .source_bank import catalog, sample_source, spec_by_label
 
 METHODS = ("FASTICA", "RCC", "RGV", "KCC_ORACLE", "KGV_ORACLE")
@@ -204,30 +202,22 @@ class ScalingStudy:
 
 def _time_contrast_evaluation(method: str, n_samples: int, config: BenchmarkConfig,
                               seed: int, repetitions: int) -> float:
-    """Median wall-clock of one contrast evaluation (not a full optimization)."""
+    """Median wall-clock of one evaluation of the fit's objective (not a full fit).
+
+    The objective is the one `minimize_contrast` descends for `method`, built
+    by `make_objective` from `fit_config` on whitened draws of two uniform
+    sources, and evaluated at the identity rotation.
+    """
     rng = np.random.default_rng(seed)
-    x1 = rng.uniform(-np.sqrt(3), np.sqrt(3), n_samples)
-    x2 = rng.uniform(-np.sqrt(3), np.sqrt(3), n_samples)
-    kernel = KernelSpec(sigma=config.sigma)
+    sources = Dataset(rng.uniform(-np.sqrt(3), np.sqrt(3), (2, n_samples)))
+    whitened, _ = whiten(sources)
+    objective = make_objective(whitened, fit_config(config, method, seed))
+    identity = np.eye(2)
     times = []
-    if method in ("RCC", "RGV"):
-        contrast = rcc if method == "RCC" else rgv
-        maps = [draw_feature_map(kernel, config.m, 1, seed + 1 + i) for i in range(2)]
-        datasets = [Dataset(x1[None, :]), Dataset(x2[None, :])]
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            feats = [apply_feature_map(maps[i], datasets[i]) for i in range(2)]
-            contrast(feats, gamma=config.gamma)
-            times.append(time.perf_counter() - t0)
-    elif method in ("KCC_ORACLE", "KGV_ORACLE"):
-        oracle = kcc_oracle if method == "KCC_ORACLE" else kgv_oracle
-        datasets = [Dataset(x1[None, :]), Dataset(x2[None, :])]
-        for _ in range(repetitions):
-            t0 = time.perf_counter()
-            oracle(datasets, kernel, kappa=config.kappa, oracle_limit=max(n_samples, 1))
-            times.append(time.perf_counter() - t0)
-    else:
-        raise ValueError(f"no contrast evaluation timing for method {method!r}")
+    for _ in range(repetitions):
+        t0 = time.perf_counter()
+        objective(identity)
+        times.append(time.perf_counter() - t0)
     return float(np.median(times))
 
 

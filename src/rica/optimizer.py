@@ -14,7 +14,6 @@ components (exactly so, with the antithetic feature phases of
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +61,6 @@ class UnmixingModel:
     contrast_name: str
     final_contrast: float
     iterations: int
-    wall_clock_seconds: float
     restart_index: int = 0
     objective_trace: tuple[float, ...] = ()
 
@@ -304,7 +302,6 @@ def minimize_contrast(whitened: Dataset, config: OptimizerConfig,
         n = whitened.d
         whitening = WhiteningTransform(mean=np.zeros(n), matrix=np.eye(n))
     objective = make_objective(whitened, config)
-    t_start = time.perf_counter()
     best = None
     failures = 0
     for restart in range(config.restarts):
@@ -329,7 +326,6 @@ def minimize_contrast(whitened: Dataset, config: OptimizerConfig,
         contrast_name=config.contrast.upper(),
         final_contrast=value,
         iterations=iters,
-        wall_clock_seconds=time.perf_counter() - t_start,
         restart_index=restart,
         objective_trace=tuple(trace),
     )

@@ -129,10 +129,6 @@ def spec_by_label(label: str) -> SourceSpec:
     raise KeyError(f"no source labeled {label!r}; valid labels are {LABELS}")
 
 
-def specs_by_family(family: str) -> list[SourceSpec]:
-    return [s for s in catalog() if s.family == family]
-
-
 def _raw_sample(spec: SourceSpec, n: int, rng: np.random.Generator) -> np.ndarray:
     fam, p = spec.family, spec.parameters
     if fam == "student_t":

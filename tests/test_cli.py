@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+from rica import cli
 from rica.audio import synthetic_tone, write_wav
 from rica.cli import main
 from rica.data_model import Dataset, dataset_to_csv, mix, random_mixing_matrix
+from rica.evaluation import ScalingStudy
 from rica.source_bank import sample_source, spec_by_label
 
 
@@ -135,6 +137,44 @@ def test_unmix_writes_model_json(tmp_path):
     assert np.shape(payload["rotation"]) == (2, 2)
     assert np.isfinite(payload["final_contrast"])
     assert out_path.exists()
+
+
+def test_unmix_byte_identical_reruns(tmp_path):
+    spec = spec_by_label("c")
+    sources = Dataset(np.vstack([sample_source(spec, 300, seed=1),
+                                 sample_source(spec, 300, seed=2)]))
+    csv_path = tmp_path / "mixed.csv"
+    dataset_to_csv(mix(sources, random_mixing_matrix(2, 1.0, 2.0, seed=3)), csv_path)
+    models = [tmp_path / "a.json", tmp_path / "b.json"]
+    for model_path in models:
+        assert run_cli(["unmix", "--in", str(csv_path), "--m", "32", "--restarts", "1",
+                        "--seed", "7", "--out-model", str(model_path)]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--sources", "c,b", "--restarts", "2"],
+    ["sweep", "--sources", "c,b", "--max-iters", "5"],
+    ["separate", "--in1", "a.wav", "--in2", "b.wav", "--restarts", "2"],
+])
+def test_descent_flags_only_where_used(args):
+    # sweep runs no descent and separate runs exactly one, so neither takes
+    # --restarts and sweep takes no --max-iters
+    assert run_cli(args + ["--seed", "1"]) == 1
+
+
+def test_scaling_seed_reaches_the_study(monkeypatch, tmp_path):
+    seen = []
+
+    def fake_study(plan, config=None, repetitions=5):
+        seen.append(config.master_seed)
+        return ScalingStudy(points=[], exponents={})
+
+    monkeypatch.setattr(cli, "run_scaling_study", fake_study)
+    for seed in (3, 4):
+        assert run_cli(["scaling", "--plan", "rgv:200+400", "--reps", "1",
+                        "--seed", str(seed), "--out", str(tmp_path / "s.csv")]) == 0
+    assert seen == [3, 4]
 
 
 def test_separate_end_to_end(tmp_path):

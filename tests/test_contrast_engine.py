@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rica.contrast_engine import (covariance_blocks, kcc_oracle, kernel_pencil_spectrum,
-                                  kgv_oracle, rcc, rgv, solve_pencil)
+from rica.contrast_engine import (KERNEL_ORACLE_LIMIT, covariance_blocks, kcc_oracle,
+                                  kernel_pencil_spectrum, kgv_oracle, rcc, rgv, solve_pencil)
 from rica.data_model import Dataset
 from rica.errors import OracleSizeExceeded, SampleMismatch, SingularDiagonal
 from rica.random_features import KernelSpec, apply_feature_map, draw_feature_map
@@ -62,6 +64,26 @@ def test_solve_pencil_requires_positive_gamma():
                                 features(np.arange(5.0), 8, seed=2)], gamma=0.0)
     with pytest.raises(SingularDiagonal):
         solve_pencil(pencil)
+
+
+def test_rgv_requires_positive_gamma():
+    z = [features(np.arange(5.0), 8, seed=1), features(np.arange(5.0), 8, seed=2)]
+    with pytest.raises(SingularDiagonal):
+        rgv(z, gamma=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_s=st.sampled_from([2, 3]),
+       m=st.integers(2, 24), n_samples=st.integers(3, 200),
+       gamma=st.floats(1e-3, 1e-1))
+def test_rgv_log_det_equals_pencil_spectrum(seed, n_s, m, n_samples, gamma):
+    # det B = det(C + gamma I) / det D: the log-det ratio is the pencil sum
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n_samples)
+    z = [features(x + k * rng.standard_normal(n_samples), m, seed=seed + k)
+         for k in range(n_s)]
+    spectrum = solve_pencil(covariance_blocks(z, gamma=gamma))
+    assert abs(rgv(z, gamma=gamma) - (-0.5 * np.sum(np.log(spectrum.eigenvalues)))) < 1e-10
 
 
 def test_independent_variables_small_rho_decreasing_in_n():
@@ -243,9 +265,9 @@ def test_kernel_oracles_independent_baselines():
 
 
 def test_kernel_oracle_size_cap():
-    data = Dataset(np.zeros((1, 30)))
+    data = Dataset(np.zeros((1, KERNEL_ORACLE_LIMIT + 1)))
     with pytest.raises(OracleSizeExceeded):
-        kgv_oracle([data, data], KERNEL, kappa=0.02, oracle_limit=20)
+        kgv_oracle([data, data], KERNEL, kappa=0.02)
 
 
 def test_kernel_oracle_requires_positive_kappa():
