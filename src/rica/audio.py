@@ -11,9 +11,9 @@ import numpy as np
 from .contrast_engine import KERNEL_ORACLE_LIMIT
 from .data_model import Dataset, random_mixing_matrix, whiten
 from .errors import DegenerateCovariance, RateMismatch, TooShort
-from .evaluation import (BenchmarkConfig, ExperimentRecord, amari_distance, derive_trial_seed,
-                         fit_config)
-from .optimizer import minimize_contrast
+from .evaluation import (COND_RANGE, BenchmarkConfig, ExperimentRecord, amari_distance,
+                         derive_trial_seed, fit_config)
+from .optimizer import CONTRASTS, KERNEL_CONTRASTS, minimize_contrast
 
 MIN_SAMPLES = 1000
 DEFAULT_FIT_SAMPLES = 8000
@@ -87,7 +87,7 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
     """Separate two channels; returns the unmixed clips and a record.
 
     When `already_mixed` is false the inputs are treated as clean sources and
-    mixed with a seeded random matrix (condition number in [1, 2]) so the true
+    mixed with a seeded random matrix (condition number in COND_RANGE) so the true
     unmixing is known and an Amari distance can be recorded; otherwise the
     inputs are used as-is and the record's amari is None.
 
@@ -97,10 +97,10 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
     KERNEL_ORACLE_LIMIT of them. Output clips are rescaled to peak 0.9.
     """
     config = config or BenchmarkConfig(labels=("audio", "audio"))
-    method = method.upper()
-    if method not in ("RCC", "RGV", "KCC_ORACLE", "KGV_ORACLE"):
-        raise ValueError(f"unknown separation method {method!r}")
-    if method.endswith("_ORACLE"):
+    contrast = method.lower()
+    if contrast not in CONTRASTS:
+        raise ValueError(f"unknown separation method {method!r}; valid: {CONTRASTS}")
+    if contrast in KERNEL_CONTRASTS:
         fit_samples = min(fit_samples, KERNEL_ORACLE_LIMIT)
     a, b = clips
     if a.sample_rate_hz != b.sample_rate_hz:
@@ -115,7 +115,7 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
     if already_mixed:
         mixed_full = channels
     else:
-        spec = random_mixing_matrix(2, 1.0, 2.0, seed=derive_trial_seed(seed, 11))
+        spec = random_mixing_matrix(2, *COND_RANGE, seed=derive_trial_seed(seed, 11))
         mixed_full = spec.matrix @ channels
         true_unmixing = np.linalg.inv(spec.matrix)
 
@@ -127,7 +127,7 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
         raise DegenerateCovariance(
             "mixed channels are linearly dependent (identical sources?)"
         ) from exc
-    opt = fit_config(config, method, seed=derive_trial_seed(seed, 12))
+    opt = fit_config(config, contrast, seed=derive_trial_seed(seed, 12))
     full = minimize_contrast(whitened, opt, whitening=transform).full_matrix()
     runtime = time.perf_counter() - t_start
 
@@ -138,7 +138,7 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
         outputs.append(AudioClip(0.9 * row / peak if peak > 0 else row, a.sample_rate_hz))
     amari = None if true_unmixing is None else amari_distance(full, true_unmixing)
     record = ExperimentRecord(
-        source_labels=("audio1", "audio2"), N=n_total, method=method, seed=seed,
+        source_labels=("audio1", "audio2"), N=n_total, method=contrast.upper(), seed=seed,
         amari=amari, runtime_seconds=runtime,
         config={**config.snapshot(), "fit_samples": fit_samples,
                 "already_mixed": already_mixed},

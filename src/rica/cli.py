@@ -18,12 +18,15 @@ from .audio import read_wav, separate_audio, write_wav
 from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
 from .data_model import Dataset, dataset_from_csv, dataset_to_csv, whiten
 from .errors import RicaError
-from .evaluation import (BenchmarkConfig, records_to_csv_rows, rotation_sweep,
+from .evaluation import (METHODS, BenchmarkConfig, records_to_csv_rows, rotation_sweep,
                          run_benchmark, run_outlier_study, run_scaling_study,
                          summary_csv_rows, summary_table)
-from .optimizer import OptimizerConfig, minimize_contrast
+from .optimizer import CONTRASTS, INITS, KERNEL_CONTRASTS, OptimizerConfig, minimize_contrast
 from .random_features import KernelSpec, approximation_error_bound, empirical_approx_error
-from .source_bank import catalog_table, sample_source, spec_by_label
+from .source_bank import catalog, catalog_table, sample_source, spec_by_label
+
+# Every subcommand names a method by its lowercase record label.
+METHOD_TOKENS = tuple(method.lower() for method in METHODS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -37,9 +40,12 @@ class _UsageError(Exception):
     pass
 
 
+def _config(args: argparse.Namespace) -> str:
+    return json.dumps({k: v for k, v in sorted(vars(args).items()) if k != "func"}, default=str)
+
+
 def _header(args: argparse.Namespace, command: str) -> str:
-    config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    return f"rica {__version__} | command={command} | config={json.dumps(config, default=str)}"
+    return f"rica {__version__} | command={command} | config={_config(args)}"
 
 
 def _write_lines(path: str, header: str, lines: list[str]) -> None:
@@ -49,21 +55,54 @@ def _write_lines(path: str, header: str, lines: list[str]) -> None:
             handle.write(line + "\n")
 
 
-def _parse_methods(text: str) -> tuple[str, ...]:
-    aliases = {"fastica": "FASTICA", "rcc": "RCC", "rgv": "RGV",
-               "kcc": "KCC_ORACLE", "kgv": "KGV_ORACLE"}
-    methods = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if token not in aliases:
-            raise _UsageError(f"unknown method {token!r}; choose from {sorted(aliases)}")
-        methods.append(aliases[token])
-    return tuple(methods)
+# argparse `type=` functions: a malformed list exits 1 naming its argument.
+
+def _tokens(text: str) -> list[str]:
+    return [token.strip().lower() for token in text.split(",")]
+
+
+def _method(token: str, valid: tuple[str, ...]) -> str:
+    if token not in valid:
+        raise argparse.ArgumentTypeError(f"unknown method {token!r}; valid: {','.join(valid)}")
+    return token.upper()
+
+
+def _methods_arg(text: str) -> tuple[str, ...]:
+    return tuple(_method(token, METHOD_TOKENS) for token in _tokens(text))
+
+
+def _ints(text: str, minimum: int, separator: str = ",") -> tuple[int, ...]:
+    tokens = text.split(separator)
+    if not all(token.strip().isdecimal() and int(token) >= minimum for token in tokens):
+        raise argparse.ArgumentTypeError(f"expected integers >= {minimum}, got {text!r}")
+    return tuple(int(token) for token in tokens)
+
+
+def _plan_arg(text: str) -> dict[str, tuple[int, ...]]:
+    plan = {}
+    for chunk in _tokens(text):
+        token, _, sizes = chunk.partition(":")
+        method, counts = _method(token, CONTRASTS), _ints(sizes, 1, "+")
+        # the runtime exponent is a fit over sizes, so each method needs two
+        if method in plan or len(set(counts)) < 2:
+            raise argparse.ArgumentTypeError(
+                f"expected one method:N+N+... per method, with two or more N; got {chunk!r}")
+        plan[method] = counts
+    return plan
+
+
+def _labels_arg(text: str, count: int | None = None) -> tuple[str, ...]:
+    labels = tuple(_tokens(text))
+    if (len(labels) < 2 or len(labels) != (count or len(labels))
+            or not set(labels) <= {spec.label for spec in catalog()}):
+        raise argparse.ArgumentTypeError(
+            f"expected {count or 'two or more'} catalog labels (see `rica sources`), got {text!r}")
+    return labels
 
 
 def _bench_config(args, labels) -> BenchmarkConfig:
     return BenchmarkConfig(
-        labels=labels, N=args.n, replicates=args.reps, methods=_parse_methods(args.methods),
+        labels=labels, N=args.n, replicates=args.reps, methods=args.methods,
         master_seed=args.seed, m=args.m, gamma=args.gamma, kappa=args.kappa,
         sigma=args.sigma, restarts=args.restarts, max_iters=args.max_iters,
     )
@@ -75,9 +114,7 @@ def _cmd_sources(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    labels = "rand" if args.pairs == "rand" else tuple(args.pairs.split(","))
-    config = _bench_config(args, labels)
-    records = run_benchmark(config)
+    records = run_benchmark(_bench_config(args, args.pairs))
     rows = records_to_csv_rows(records, include_runtime=args.timing == "wall")
     _write_lines(args.out, _header(args, "bench"), rows)
     summary_path = f"{args.out}.summary.csv"
@@ -88,30 +125,20 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_outliers(args) -> int:
-    labels = tuple(args.pair.split(","))
-    config = _bench_config(args, labels)
-    counts = tuple(int(c) for c in args.counts.split(","))
-    records = run_outlier_study(config, counts=counts)
+    records = run_outlier_study(_bench_config(args, args.pair), counts=args.counts)
     rows = ["outlier_count,method,mean_amari_x100"]
-    for count in counts:
-        subset = [r for r in records if r.config["outlier_count"] == count]
-        means: dict[str, list[float]] = {}
-        for rec in subset:
-            means.setdefault(rec.method, []).append(rec.amari)
-        for method in config.methods:
-            rows.append(f"{count},{method},{repr(100.0 * float(np.mean(means[method])))}")
+    for count in args.counts:
+        for method in args.methods:
+            amaris = [r.amari for r in records
+                      if r.config["outlier_count"] == count and r.method == method]
+            rows.append(f"{count},{method},{repr(100.0 * float(np.mean(amaris)))}")
     _write_lines(args.out, _header(args, "outliers"), rows)
     print("\n".join(rows))
     return 0
 
 
 def _cmd_scaling(args) -> int:
-    sizes = {method: tuple(int(n) for n in spec.split(":")[1].split("+"))
-             for method, spec in
-             ((chunk.split(":")[0], chunk) for chunk in args.plan.split(","))}
-    plan = {m.upper() if m.upper() in ("RCC", "RGV") else m.upper() + "_ORACLE": ns
-            for m, ns in sizes.items()}
-    study = run_scaling_study(plan, BenchmarkConfig(labels=("c", "c"), master_seed=args.seed),
+    study = run_scaling_study(args.plan, BenchmarkConfig(labels=("c", "c"), master_seed=args.seed),
                               repetitions=args.reps)
     rows = ["method,N,median_seconds"]
     for point in study.points:
@@ -124,15 +151,13 @@ def _cmd_scaling(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows_a = sample_source(spec_by_label(args.sources.split(",")[0]), args.n,
-                           seed=args.seed)
-    rows_b = sample_source(spec_by_label(args.sources.split(",")[1]), args.n,
-                           seed=args.seed + 1)
-    sources = Dataset(np.vstack([rows_a, rows_b]), source=args.sources)
-    points = rotation_sweep(sources, contrast=args.contrast, grid_degrees=args.grid,
-                            seed=args.seed, mix_angle_degrees=args.mix_angle,
-                            m=args.m, gamma=args.gamma, kappa=args.kappa,
-                            sigma=args.sigma)
+    samples = [sample_source(spec_by_label(label), args.n, seed=args.seed + k)
+               for k, label in enumerate(args.sources)]
+    sources = Dataset(np.vstack(samples), source=",".join(args.sources))
+    config = OptimizerConfig(m=args.m, gamma=args.gamma, kappa=args.kappa, sigma=args.sigma,
+                             seed=args.seed, contrast=args.contrast)
+    points = rotation_sweep(sources, config, grid_degrees=args.grid,
+                            mix_angle_degrees=args.mix_angle)
     rows = ["angle_degrees,contrast_value"]
     rows += [f"{repr(angle)},{repr(value)}" for angle, value in points]
     _write_lines(args.out, _header(args, "sweep"), rows)
@@ -147,7 +172,7 @@ def _cmd_kernel_bound(args) -> int:
     data = Dataset(rng.standard_normal((1, args.n)), source="kernel-bound")
     kernel = KernelSpec(sigma=args.sigma)
     rows = ["m,empirical_error_mean,analytic_bound"]
-    for m in (int(tok) for tok in args.m_list.split(",")):
+    for m in args.m_list:
         errors = [empirical_approx_error(kernel, data, m, seed=args.seed + 1 + s,
                                          oracle_limit=max(args.n, 4000))
                   for s in range(args.seeds)]
@@ -220,39 +245,29 @@ def build_parser() -> _Parser:
     p.add_argument("--list", action="store_true", help="print the catalog table")
 
     p = add("bench", _cmd_bench, "replicated separation benchmark")
-    p.add_argument("--pairs", required=True, help="two labels 'c,b' or 'rand'")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--reps", type=int, default=100)
-    p.add_argument("--methods", default="fastica,rgv",
-                   help="comma list from fastica,rcc,rgv,kcc,kgv")
-    p.add_argument("--out", default="bench.csv")
+    p.add_argument("--pairs", required=True, help="two or more catalog labels 'c,b', or 'rand'",
+                   type=lambda text: "rand" if text == "rand" else _labels_arg(text))
     p.add_argument("--timing", choices=["none", "wall"], default="none",
                    help="'wall' records runtimes (breaks byte-identical reruns)")
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--max-iters", type=int, default=50)
-    _common_contrast_flags(p)
+    _bench_flags(p, reps=100, out="bench.csv")
 
     p = add("outliers", _cmd_outliers, "robustness to injected outliers")
-    p.add_argument("--pair", required=True, help="two labels 'c,b'")
-    p.add_argument("--counts", default="0,5,10,25")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--reps", type=int, default=50)
-    p.add_argument("--methods", default="fastica,rgv")
-    p.add_argument("--out", default="outliers.csv")
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--max-iters", type=int, default=50)
-    _common_contrast_flags(p)
+    p.add_argument("--pair", type=_labels_arg, required=True,
+                   help="two or more catalog labels 'c,b'")
+    p.add_argument("--counts", type=lambda text: _ints(text, 0), default="0,5,10,25")
+    _bench_flags(p, reps=50, out="outliers.csv")
 
     p = add("scaling", _cmd_scaling, "contrast-evaluation runtime scaling")
-    p.add_argument("--plan", default="rgv:1000+2000+4000+8000,kgv:250+500+1000",
-                   help="method:N+N+... pairs, comma separated")
+    p.add_argument("--plan", type=_plan_arg, default="rgv:1000+2000+4000+8000,kgv:250+500+1000",
+                   help=f"method:N+N+... pairs, comma separated; methods: {','.join(CONTRASTS)}")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", default="scaling.csv")
 
     p = add("sweep", _cmd_sweep, "contrast value versus unmixing angle")
-    p.add_argument("--sources", required=True, help="two labels 'c,b'")
+    p.add_argument("--sources", type=lambda text: _labels_arg(text, 2), required=True,
+                   help="two catalog labels 'c,b'")
     p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--contrast", choices=["rcc", "rgv", "kcc", "kgv"], default="rgv")
+    p.add_argument("--contrast", choices=CONTRASTS, default="rgv")
     p.add_argument("--grid", type=float, default=1.0, help="grid step in degrees")
     p.add_argument("--mix-angle", type=float, default=30.0,
                    help="mixing rotation in degrees; minimum expected at (-angle) mod 90")
@@ -262,14 +277,15 @@ def build_parser() -> _Parser:
     p = add("kernel-bound", _cmd_kernel_bound, "empirical vs analytic feature-map error")
     p.add_argument("--n", type=int, default=1000)
     p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
-    p.add_argument("--m-list", default="100,200,400,800,1600")
+    p.add_argument("--m-list", type=lambda text: _ints(text, 1), default="100,200,400,800,1600")
     p.add_argument("--seeds", type=int, default=10)
     p.add_argument("--out", default="kernel_bound.csv")
 
     p = add("unmix", _cmd_unmix, "unmix a CSV dataset, write the model as JSON")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--contrast", choices=["rcc", "rgv"], default="rgv")
-    p.add_argument("--init", choices=["random", "fastica"], default="fastica")
+    p.add_argument("--contrast", default="rgv",
+                   choices=[c for c in CONTRASTS if c not in KERNEL_CONTRASTS])
+    p.add_argument("--init", choices=INITS, default="fastica")
     p.add_argument("--restarts", type=int, default=3)
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out", default=None, help="optional CSV of unmixed data")
@@ -280,8 +296,7 @@ def build_parser() -> _Parser:
     p = add("separate", _cmd_separate, "separate two WAV clips")
     p.add_argument("--in1", required=True)
     p.add_argument("--in2", required=True)
-    p.add_argument("--method", choices=["rcc", "rgv", "kcc_oracle", "kgv_oracle"],
-                   default="rgv")
+    p.add_argument("--method", choices=CONTRASTS, default="rgv")
     p.add_argument("--already-mixed", action="store_true",
                    help="treat inputs as recorded mixtures (no ground truth)")
     p.add_argument("--fit-samples", type=int, default=8000)
@@ -289,6 +304,17 @@ def build_parser() -> _Parser:
     p.add_argument("--out-prefix", default="unmixed")
     _common_contrast_flags(p)
     return parser
+
+
+def _bench_flags(p, reps: int, out: str) -> None:
+    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--reps", type=int, default=reps)
+    p.add_argument("--methods", type=_methods_arg, default="fastica,rgv",
+                   help=f"comma list from {','.join(METHOD_TOKENS)}")
+    p.add_argument("--out", default=out)
+    p.add_argument("--restarts", type=int, default=1)
+    p.add_argument("--max-iters", type=int, default=50)
+    _common_contrast_flags(p)
 
 
 def _common_contrast_flags(p) -> None:
@@ -305,8 +331,7 @@ def main(argv=None) -> int:
         if getattr(args, "command", None) is None:
             parser.print_usage(sys.stderr)
             return 1
-        config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-        print(f"# rica {__version__} resolved config: {json.dumps(config, default=str)}")
+        print(f"# rica {__version__} resolved config: {_config(args)}")
         return args.func(args)
     except _UsageError as exc:
         print(f"rica: error: {exc}", file=sys.stderr)

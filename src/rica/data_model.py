@@ -14,6 +14,8 @@ import numpy as np
 
 from .errors import CountTooLarge, DegenerateCovariance, DimensionMismatch, InvalidRange
 
+EIGEN_FLOOR = 1e-12  # relative eigenvalue floor of a full-rank covariance
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -91,17 +93,17 @@ def center(data: Dataset) -> tuple[Dataset, np.ndarray]:
     return Dataset(data.values - mean[:, None], source=data.source), mean
 
 
-def whiten(data: Dataset, eigen_floor: float = 1e-12) -> tuple[Dataset, WhiteningTransform]:
+def whiten(data: Dataset) -> tuple[Dataset, WhiteningTransform]:
     """Center the data and map it to identity empirical covariance.
 
     Uses the symmetric eigendecomposition C = U diag(w) U^T of the empirical
     covariance and applies U diag(w^-1/2) U^T. An eigenvalue at or below
-    ``eigen_floor`` times the largest one signals rank deficiency.
+    ``EIGEN_FLOOR`` times the largest one signals rank deficiency.
 
     Raises
     ------
     DegenerateCovariance
-        If any covariance eigenvalue <= eigen_floor * largest eigenvalue.
+        If any covariance eigenvalue <= EIGEN_FLOOR * largest eigenvalue.
     """
     if data.N < 2:
         raise DegenerateCovariance("whitening needs at least two samples")
@@ -109,9 +111,9 @@ def whiten(data: Dataset, eigen_floor: float = 1e-12) -> tuple[Dataset, Whitenin
     centered = data.values - mean[:, None]
     cov = (centered @ centered.T) / data.N
     w, eigvecs = np.linalg.eigh(cov)
-    if w[-1] <= 0 or np.any(w <= eigen_floor * w[-1]):
+    if w[-1] <= 0 or np.any(w <= EIGEN_FLOOR * w[-1]):
         raise DegenerateCovariance(
-            f"covariance eigenvalues {w} fall at/below relative floor {eigen_floor}"
+            f"covariance eigenvalues {w} fall at/below relative floor {EIGEN_FLOOR}"
         )
     matrix = (eigvecs / np.sqrt(w)) @ eigvecs.T
     whitened = Dataset(matrix @ centered, source=data.source)

@@ -21,10 +21,6 @@ class CountTooLarge(RicaError):
     """Requested more items than exist."""
 
 
-class UnsupportedKernel(RicaError):
-    """Kernel family outside the supported set."""
-
-
 class OracleSizeExceeded(RicaError):
     """Sample size too large for an exact (cubic-cost) oracle."""
 

@@ -17,11 +17,13 @@ import numpy as np
 from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
 from .data_model import Dataset, inject_outliers, mix, random_mixing_matrix, whiten
 from .errors import SingularMatrix
-from .optimizer import (OptimizerConfig, fastica_baseline, make_objective, minimize_contrast,
-                        plane_rotation)
+from .optimizer import (CONTRASTS, OptimizerConfig, fastica_baseline, make_objective,
+                        minimize_contrast, plane_rotation)
 from .source_bank import catalog, sample_source, spec_by_label
 
-METHODS = ("FASTICA", "RCC", "RGV", "KCC_ORACLE", "KGV_ORACLE")
+METHODS = ("FASTICA",) + tuple(contrast.upper() for contrast in CONTRASTS)
+COND_RANGE = (1.0, 2.0)  # condition numbers of the planted mixing matrices
+OUTLIER_MAGNITUDE = 5.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,6 @@ class BenchmarkConfig:
     replicates: int = 100
     methods: tuple[str, ...] = ("FASTICA", "RGV")
     master_seed: int = 0
-    cond_range: tuple[float, float] = (1.0, 2.0)
     m: int = DEFAULT_M
     gamma: float = DEFAULT_GAMMA
     kappa: float = DEFAULT_KAPPA
@@ -56,15 +57,13 @@ class BenchmarkConfig:
     restarts: int = 1
     max_iters: int = 50
     outlier_count: int = 0
-    outlier_magnitude: float = 5.0
 
     def snapshot(self) -> dict:
         return {
             "labels": self.labels if isinstance(self.labels, str) else "+".join(self.labels),
             "N": self.N, "m": self.m, "gamma": self.gamma, "kappa": self.kappa,
             "sigma": self.sigma, "restarts": self.restarts, "max_iters": self.max_iters,
-            "cond_range": list(self.cond_range), "outlier_count": self.outlier_count,
-            "outlier_magnitude": self.outlier_magnitude, "master_seed": self.master_seed,
+            "outlier_count": self.outlier_count, "master_seed": self.master_seed,
         }
 
 
@@ -116,21 +115,21 @@ def _draw_trial_data(labels: tuple[str, ...], config: BenchmarkConfig,
         rows.append(sample_source(spec_by_label(label), config.N,
                                   seed=derive_trial_seed(trial_seed, 100 + k)))
     sources = Dataset(np.vstack(rows), source="+".join(labels))
-    spec = random_mixing_matrix(len(labels), config.cond_range[0], config.cond_range[1],
+    spec = random_mixing_matrix(len(labels), *COND_RANGE,
                                 seed=derive_trial_seed(trial_seed, 200))
     mixed = mix(sources, spec)
     if config.outlier_count > 0:
-        mixed = inject_outliers(mixed, config.outlier_count, config.outlier_magnitude,
+        mixed = inject_outliers(mixed, config.outlier_count, OUTLIER_MAGNITUDE,
                                 seed=derive_trial_seed(trial_seed, 300))
     return mixed, np.linalg.inv(spec.matrix)
 
 
 def fit_config(config: BenchmarkConfig, method: str, seed: int) -> OptimizerConfig:
-    """Optimizer settings for a contrast method (RCC, RGV, KCC_ORACLE, KGV_ORACLE)."""
+    """Optimizer settings for a contrast method, one of METHODS other than FASTICA."""
     return OptimizerConfig(m=config.m, gamma=config.gamma, kappa=config.kappa,
                            sigma=config.sigma, restarts=config.restarts,
                            max_iters=config.max_iters, seed=seed, init="fastica",
-                           contrast=method.lower().removesuffix("_oracle"))
+                           contrast=method.lower())
 
 
 def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConfig,
@@ -248,24 +247,20 @@ def run_scaling_study(methods_and_sizes: dict[str, tuple[int, ...]],
     return ScalingStudy(points=points, exponents=exponents)
 
 
-def rotation_sweep(sources: Dataset, contrast: str, grid_degrees: float, seed: int,
-                   mix_angle_degrees: float = 0.0, m: int = DEFAULT_M,
-                   gamma: float = DEFAULT_GAMMA, kappa: float = DEFAULT_KAPPA,
-                   sigma: float = DEFAULT_SIGMA) -> list[tuple[float, float]]:
+def rotation_sweep(sources: Dataset, config: OptimizerConfig, grid_degrees: float,
+                   mix_angle_degrees: float) -> list[tuple[float, float]]:
     """Contrast value versus unmixing angle on [0, 90] degrees (two components).
 
     The sources are mixed by a plane rotation of `mix_angle_degrees`, whitened,
     then scanned: the value at grid angle phi is the contrast (the fit's own
-    objective) of R(phi) applied to the whitened mixture. The minimum is
-    expected near (-mix_angle) mod 90.
+    objective, `make_objective(whitened, config)`) of R(phi) applied to the
+    whitened mixture. The minimum is expected near (-mix_angle) mod 90.
     """
     if sources.d != 2:
         raise ValueError("rotation sweep is defined for two components")
-    cfg = OptimizerConfig(m=m, gamma=gamma, kappa=kappa, sigma=sigma, seed=seed,
-                          contrast=contrast)
     mixed = Dataset(plane_rotation(2, 0, 1, np.deg2rad(mix_angle_degrees)) @ sources.values)
     whitened, _ = whiten(mixed)
-    objective = make_objective(whitened, cfg)
+    objective = make_objective(whitened, config)
     angles = np.arange(0.0, 90.0 + 1e-9, grid_degrees)
     values = [objective(plane_rotation(2, 0, 1, np.deg2rad(deg))) for deg in angles]
     return list(zip(angles.tolist(), values))

@@ -21,12 +21,17 @@ import numpy as np
 from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA,
                               kcc_oracle, kgv_oracle, rcc, rgv)
 from .data_model import Dataset, WhiteningTransform
-from .errors import DimensionMismatch, NoProgress
+from .errors import NoProgress
 from .random_features import FeatureMap, KernelSpec, apply_feature_map, draw_feature_map
 
 ARMIJO_C = 1e-4
 LINE_SEARCH_MAX_HALVINGS = 30
+FD_STEP = 1e-4  # central-difference step of the descent's slopes, in radians
+FASTICA_TOL = 1e-6
+FASTICA_MAX_SWEEPS = 200
 CONTRASTS = ("rcc", "rgv", "kcc", "kgv")
+KERNEL_CONTRASTS = ("kcc", "kgv")  # the exact kernel oracles; rcc and rgv use random features
+INITS = ("random", "fastica")  # the first start: Haar-random or FastICA's rotation
 
 
 @dataclass(frozen=True)
@@ -35,18 +40,17 @@ class OptimizerConfig:
     gamma: float = DEFAULT_GAMMA
     kappa: float = DEFAULT_KAPPA
     sigma: float = DEFAULT_SIGMA
-    fd_step: float = 1e-4
     tol: float = 1e-5
     max_iters: int = 100
     restarts: int = 3
     seed: int = 0
-    init: str = "fastica"  # one of: random, fastica, given
-    contrast: str = "rgv"  # one of CONTRASTS; kcc and kgv are the exact kernel oracles
+    init: str = "fastica"  # one of INITS
+    contrast: str = "rgv"  # one of CONTRASTS
 
     def __post_init__(self):
-        if self.fd_step <= 0 or self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("fd_step and tol must be positive; max_iters, restarts >= 1")
-        if self.init not in ("random", "fastica", "given"):
+        if self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
+            raise ValueError("tol must be positive; max_iters, restarts >= 1")
+        if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}")
         if self.contrast not in CONTRASTS:
             raise ValueError(f"unknown contrast {self.contrast!r}")
@@ -72,7 +76,6 @@ class UnmixingModel:
 class FastICAResult:
     rotation: np.ndarray
     converged: bool
-    sweeps: int
 
 
 def plane_rotation(n: int, i: int, j: int, theta: float) -> np.ndarray:
@@ -148,7 +151,7 @@ def make_objective(whitened: Dataset, config: OptimizerConfig):
     _check_whitened(whitened.values)
     n = whitened.d
     kernel = KernelSpec(sigma=config.sigma)
-    maps = draw_objective_maps(config, n) if config.contrast in ("rcc", "rgv") else None
+    maps = None if config.contrast in KERNEL_CONTRASTS else draw_objective_maps(config, n)
 
     def objective(q: np.ndarray) -> float:
         rotated = q @ whitened.values
@@ -165,15 +168,10 @@ def make_objective(whitened: Dataset, config: OptimizerConfig):
     return objective
 
 
-def contrast_objective(q: np.ndarray, whitened: Dataset, config: OptimizerConfig) -> float:
-    """The configured contrast of the components q @ whitened."""
-    return make_objective(whitened, config)(q)
-
-
-def finite_diff_gradient(q: np.ndarray, whitened: Dataset,
-                         config: OptimizerConfig) -> np.ndarray:
-    """Central differences along each plane generator at q, step config.fd_step."""
-    return _fd_gradient(make_objective(whitened, config), q, config.fd_step)
+def finite_diff_gradient(q: np.ndarray, whitened: Dataset, config: OptimizerConfig,
+                         step: float = FD_STEP) -> np.ndarray:
+    """Central differences along each plane generator at q (`descend`'s slopes at FD_STEP)."""
+    return _fd_gradient(make_objective(whitened, config), q, step)
 
 
 def _fd_gradient(objective, q: np.ndarray, step: float) -> np.ndarray:
@@ -185,7 +183,7 @@ def _fd_gradient(objective, q: np.ndarray, step: float) -> np.ndarray:
                      for i, j in planes])
 
 
-def descend(objective, start: np.ndarray, fd_step: float, tol: float,
+def descend(objective, start: np.ndarray, tol: float,
             max_iters: int) -> tuple[np.ndarray, float, int, list[float]]:
     """Gradient descent on O(n) with backtracking (halving) Armijo line search.
 
@@ -198,7 +196,7 @@ def descend(objective, start: np.ndarray, fd_step: float, tol: float,
     trace = [value]
     step0 = 1.0
     for iteration in range(1, max_iters + 1):
-        grad = _fd_gradient(objective, q, fd_step)
+        grad = _fd_gradient(objective, q, FD_STEP)
         grad_sq = float(grad @ grad)
         if grad_sq == 0.0:
             return q, value, iteration - 1, trace
@@ -225,26 +223,24 @@ def descend(objective, start: np.ndarray, fd_step: float, tol: float,
     return q, value, max_iters, trace
 
 
-def fastica_baseline(whitened: Dataset, seed: int, tol: float = 1e-6,
-                     max_sweeps: int = 200) -> FastICAResult:
+def fastica_baseline(whitened: Dataset, seed: int) -> FastICAResult:
     """Deflation FastICA with the tanh nonlinearity on whitened data.
 
     Each unit is re-orthonormalized against the previously extracted units on
     every sweep; the final matrix is polished to exact orthogonality via its
     polar factor. Returns the best iterate with converged=False if any unit
-    fails to converge within max_sweeps.
+    fails to converge within FASTICA_MAX_SWEEPS.
     """
     x = whitened.values
     n, n_samples = x.shape
     rng = np.random.default_rng(seed)
     w_all = np.zeros((n, n))
     converged = True
-    total_sweeps = 0
     for unit in range(n):
         w = rng.standard_normal(n)
         w /= np.linalg.norm(w)
         unit_converged = False
-        for sweep in range(1, max_sweeps + 1):
+        for _ in range(FASTICA_MAX_SWEEPS):
             u = w @ x
             g = np.tanh(u)
             g_prime = 1.0 - g * g
@@ -257,30 +253,18 @@ def fastica_baseline(whitened: Dataset, seed: int, tol: float = 1e-6,
             w_new /= norm
             delta = abs(abs(w_new @ w) - 1.0)
             w = w_new
-            if delta < tol:
+            if delta < FASTICA_TOL:
                 unit_converged = True
                 break
-        total_sweeps += sweep
-        if not unit_converged:
-            converged = False
+        converged = converged and unit_converged
         w_all[unit] = w
     u_mat, _, vt_mat = np.linalg.svd(w_all)
     rotation = u_mat @ vt_mat
-    return FastICAResult(rotation=rotation, converged=converged, sweeps=total_sweeps)
+    return FastICAResult(rotation=rotation, converged=converged)
 
 
-def _start(whitened: Dataset, config: OptimizerConfig, restart: int,
-           init_rotation: np.ndarray | None) -> np.ndarray:
+def _start(whitened: Dataset, config: OptimizerConfig, restart: int) -> np.ndarray:
     n = whitened.d
-    if restart == 0 and config.init == "given":
-        if init_rotation is None:
-            raise ValueError("init='given' requires init_rotation")
-        q = np.asarray(init_rotation, dtype=float)
-        if q.shape != (n, n):
-            raise DimensionMismatch(f"init_rotation must be {n}x{n}, got {q.shape}")
-        if not np.allclose(q @ q.T, np.eye(n), atol=1e-8):
-            raise ValueError("init_rotation must be orthogonal")
-        return q
     if restart == 0 and config.init == "fastica":
         return fastica_baseline(whitened, seed=_restart_seed(config.seed, 0)).rotation
     # Haar-distributed on O(n): QR of a Gaussian matrix, signs fixed by diag(R).
@@ -290,8 +274,7 @@ def _start(whitened: Dataset, config: OptimizerConfig, restart: int,
 
 
 def minimize_contrast(whitened: Dataset, config: OptimizerConfig,
-                      whitening: WhiteningTransform | None = None,
-                      init_rotation: np.ndarray | None = None) -> UnmixingModel:
+                      whitening: WhiteningTransform | None = None) -> UnmixingModel:
     """Run `restarts` descents from different starts; keep the lowest contrast.
 
     The first start honors config.init; later restarts are random. The
@@ -305,10 +288,9 @@ def minimize_contrast(whitened: Dataset, config: OptimizerConfig,
     best = None
     failures = 0
     for restart in range(config.restarts):
-        start = _start(whitened, config, restart, init_rotation)
+        start = _start(whitened, config, restart)
         try:
-            q, value, iters, trace = descend(objective, start, config.fd_step,
-                                             config.tol, config.max_iters)
+            q, value, iters, trace = descend(objective, start, config.tol, config.max_iters)
         except NoProgress:
             # A start already at a sharp minimum can fail its first search;
             # keep it as a (zero-iteration) candidate rather than discarding.

@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .errors import DimensionMismatch, OracleSizeExceeded, UnsupportedKernel
+from .errors import DimensionMismatch, OracleSizeExceeded
 
 GRAM_ORACLE_LIMIT = 4000
+POWER_TOL = 1e-6  # relative change of the power-iteration estimate that stops it
+POWER_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
@@ -23,11 +25,8 @@ class KernelSpec:
     """Gaussian kernel k(x, y) = exp(-||x - y||^2 / (2 sigma^2))."""
 
     sigma: float
-    family: str = "gaussian"
 
     def __post_init__(self):
-        if self.family != "gaussian":
-            raise UnsupportedKernel(f"only the Gaussian family is supported, got {self.family!r}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -100,8 +99,7 @@ def approximation_error_bound(n: int, m: int) -> float:
     return float(np.sqrt(3.0 * n * n * log_n / m) + 2.0 * n * log_n / m)
 
 
-def operator_norm(matrix: np.ndarray, tol: float = 1e-6, max_iters: int = 1000,
-                  seed: int = 0) -> float:
+def operator_norm(matrix: np.ndarray, seed: int = 0) -> float:
     """Largest singular value of a symmetric matrix by power iteration.
 
     The estimate ||A v|| / ||v|| converges to the dominant |eigenvalue| even
@@ -112,13 +110,13 @@ def operator_norm(matrix: np.ndarray, tol: float = 1e-6, max_iters: int = 1000,
     v = rng.standard_normal(n)
     v /= np.linalg.norm(v)
     estimate = 0.0
-    for _ in range(max_iters):
+    for _ in range(POWER_MAX_ITERS):
         av = matrix @ v
         new_estimate = float(np.linalg.norm(av))
         if new_estimate == 0.0:
             return 0.0
         v = av / new_estimate
-        if abs(new_estimate - estimate) <= tol * max(1.0, new_estimate):
+        if abs(new_estimate - estimate) <= POWER_TOL * max(1.0, new_estimate):
             return new_estimate
         estimate = new_estimate
     return estimate

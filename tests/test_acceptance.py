@@ -101,8 +101,8 @@ def test_criterion_4_contrast_landscape():
         rows = np.vstack([sample_source(spec, 2000, seed=2 * seed + 1),
                           sample_source(spec, 2000, seed=2 * seed + 2)])
         # mixing by -theta* puts the sweep minimum at theta* (mod 90)
-        points = rotation_sweep(Dataset(rows), "rgv", grid_degrees=1.0, seed=seed,
-                                mix_angle_degrees=-theta_star)
+        points = rotation_sweep(Dataset(rows), OptimizerConfig(seed=seed, contrast="rgv"),
+                                grid_degrees=1.0, mix_angle_degrees=-theta_star)
         best = min(points, key=lambda p: p[1])[0]
         distance = min(abs(best - theta_star) % 90.0, 90.0 - abs(best - theta_star) % 90.0)
         hits += distance <= 5.0
@@ -128,13 +128,13 @@ def test_criterion_5_separation_accuracy():
 
 def test_criterion_6_runtime_scaling():
     study = run_scaling_study({"RGV": (1000, 2000, 4000, 8000),
-                               "KGV_ORACLE": (250, 500, 1000)}, repetitions=5)
+                               "KGV": (250, 500, 1000)}, repetitions=5)
     rgv_exp = study.exponents["RGV"]
-    kgv_exp = study.exponents["KGV_ORACLE"]
+    kgv_exp = study.exponents["KGV"]
     rgv_4000 = next(p.median_seconds for p in study.points
                     if p.method == "RGV" and p.N == 4000)
     kgv_1000 = next(p.median_seconds for p in study.points
-                    if p.method == "KGV_ORACLE" and p.N == 1000)
+                    if p.method == "KGV" and p.N == 1000)
     extrapolated = kgv_1000 * (4000 / 1000) ** 3
     ratio = extrapolated / rgv_4000
     passed = rgv_exp <= 1.3 and kgv_exp >= 2.3 and ratio >= 5.0
@@ -230,10 +230,10 @@ def test_criterion_8_property_suites(tmp_path):
                               sample_source(spec, 800, seed=1008)]))
     whitened, _ = whiten(data)
     q = plane_rotation(2, 0, 1, 0.5)
+    cfg = OptimizerConfig(seed=9, contrast="rgv", m=64)
     grads = {}
     for step in (1e-3, 5e-4, 2.5e-4):
-        cfg = OptimizerConfig(seed=9, contrast="rgv", m=64, fd_step=step)
-        grads[step] = finite_diff_gradient(q, whitened, cfg)[0]
+        grads[step] = finite_diff_gradient(q, whitened, cfg, step=step)[0]
     err_h = abs(grads[1e-3] - grads[5e-4])
     err_h2 = abs(grads[5e-4] - grads[2.5e-4])
     if not err_h2 <= 0.5 * err_h + 1e-8:

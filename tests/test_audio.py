@@ -92,7 +92,7 @@ def test_separate_audio_kernel_oracle_fits_capped_sample(monkeypatch):
     monkeypatch.setattr(audio, "KERNEL_ORACLE_LIMIT", 300)
     clips = (synthetic_tone(440.0, 2.0, 8000), synthetic_tone(650.0, 2.0, 8000, phase=0.5))
     config = BenchmarkConfig(labels=("audio", "audio"), max_iters=3)
-    _, record = separate_audio(clips, method="kgv_oracle", config=config, seed=4)
+    _, record = separate_audio(clips, method="kgv", config=config, seed=4)
     assert record.config["fit_samples"] == 300
     assert record.amari <= 0.05
 

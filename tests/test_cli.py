@@ -193,3 +193,40 @@ def test_runtime_error_exits_two(tmp_path):
     args = ["unmix", "--in", str(missing), "--seed", "1",
             "--out-model", str(tmp_path / "m.json")]
     assert run_cli(args) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["scaling", "--plan", "fastica:100+200"],
+    ["scaling", "--plan", "rgv"],
+    ["scaling", "--plan", "rgv:abc"],
+    ["scaling", "--plan", "rgv:200"],
+    ["outliers", "--pair", "c,b", "--counts", "0,x"],
+    ["outliers", "--pair", "c"],
+    ["kernel-bound", "--m-list", "10,a"],
+    ["bench", "--pairs", "c,zz"],
+    ["bench", "--pairs", "c"],
+    ["bench", "--pairs", "c,b", "--methods", "rgv,kgv_oracle"],
+    ["sweep", "--sources", "c"],
+    ["sweep", "--sources", "c,b,a"],
+])
+def test_malformed_list_argument_is_a_usage_error(args, capsys):
+    # rejected by the parser, before any fit, naming the malformed (last) argument
+    assert run_cli(args + ["--seed", "1"]) == 1
+    last_line = capsys.readouterr().err.splitlines()[-1]
+    assert last_line.startswith(f"rica: error: argument {args[-2]}: ")
+
+
+def test_every_subcommand_takes_the_contrast_tokens():
+    parse = cli.build_parser().parse_args
+    wavs = ["--in1", "a.wav", "--in2", "b.wav", "--seed", "1"]
+    assert parse(["bench", "--pairs", "c,b", "--methods", "kcc,kgv",
+                  "--seed", "1"]).methods == ("KCC", "KGV")
+    assert parse(["scaling", "--plan", "kcc:100+200,kgv:100+200",
+                  "--seed", "1"]).plan == {"KCC": (100, 200), "KGV": (100, 200)}
+    for contrast in ("kcc", "kgv"):
+        assert parse(["sweep", "--sources", "c,b", "--contrast", contrast,
+                      "--seed", "1"]).contrast == contrast
+        assert parse(["separate", "--method", contrast] + wavs).method == contrast
+    assert run_cli(["separate", "--method", "kgv_oracle"] + wavs) == 1
+    # unmix fits with random features only
+    assert run_cli(["unmix", "--in", "x.csv", "--contrast", "kgv", "--seed", "1"]) == 1

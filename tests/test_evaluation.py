@@ -9,6 +9,7 @@ from rica.evaluation import (BenchmarkConfig, amari_distance, amari_from_product
                              run_outlier_study, run_scaling_study, run_single_trial,
                              summary_table)
 from rica.data_model import Dataset
+from rica.optimizer import OptimizerConfig
 from rica.source_bank import sample_source, spec_by_label
 
 FAST_CONFIG = dict(N=300, replicates=3, m=64, max_iters=20)
@@ -118,7 +119,7 @@ def test_outlier_study_orders_counts():
 
 
 def test_kernel_oracle_method_runs_in_benchmark():
-    config = BenchmarkConfig(labels=("c", "b"), methods=("KGV_ORACLE",), master_seed=19,
+    config = BenchmarkConfig(labels=("c", "b"), methods=("KGV",), master_seed=19,
                              N=250, replicates=2, max_iters=8)
     records = run_benchmark(config)
     assert len(records) == 2
@@ -139,7 +140,7 @@ def test_kernel_oracle_trial_runs_every_restart(monkeypatch):
 
     monkeypatch.setattr(optimizer, "descend", descend)
     config = BenchmarkConfig(labels=("c", "b"), N=250, restarts=2, max_iters=8)
-    record = run_single_trial(("c", "b"), "KGV_ORACLE", config, derive_trial_seed(19, 0))
+    record = run_single_trial(("c", "b"), "KGV", config, derive_trial_seed(19, 0))
     assert len(starts) == 2
     assert 0.0 <= record.amari <= 1.0
 
@@ -150,10 +151,10 @@ def test_fit_runtime_exponent_recovers_slope():
 
 
 def test_run_scaling_study_smoke():
-    study = run_scaling_study({"RGV": (500, 1000), "KGV_ORACLE": (100, 200)},
+    study = run_scaling_study({"RGV": (500, 1000), "KGV": (100, 200)},
                               repetitions=2)
-    assert {p.method for p in study.points} == {"RGV", "KGV_ORACLE"}
-    assert set(study.exponents) == {"RGV", "KGV_ORACLE"}
+    assert {p.method for p in study.points} == {"RGV", "KGV"}
+    assert set(study.exponents) == {"RGV", "KGV"}
     assert all(p.median_seconds > 0 for p in study.points)
 
 
@@ -161,8 +162,8 @@ def test_rotation_sweep_grid_and_minimum():
     spec = spec_by_label("c")
     sources = Dataset(np.vstack([sample_source(spec, 1500, seed=1),
                                  sample_source(spec, 1500, seed=2)]))
-    points = rotation_sweep(sources, "rgv", grid_degrees=3.0, seed=5,
-                            mix_angle_degrees=-30.0, m=128)
+    points = rotation_sweep(sources, OptimizerConfig(seed=5, contrast="rgv", m=128),
+                            grid_degrees=3.0, mix_angle_degrees=-30.0)
     assert len(points) == 31
     assert points[0][0] == 0.0 and points[-1][0] == 90.0
     best = min(points, key=lambda p: p[1])[0]
@@ -174,8 +175,8 @@ def test_rotation_sweep_kernel_oracle_route():
     spec = spec_by_label("c")
     sources = Dataset(np.vstack([sample_source(spec, 300, seed=3),
                                  sample_source(spec, 300, seed=4)]))
-    points = rotation_sweep(sources, "kgv", grid_degrees=15.0, seed=1,
-                            mix_angle_degrees=-30.0)
+    points = rotation_sweep(sources, OptimizerConfig(seed=1, contrast="kgv"),
+                            grid_degrees=15.0, mix_angle_degrees=-30.0)
     assert len(points) == 7
     best = min(points, key=lambda p: p[1])[0]
     distance = min(abs(best - 30.0) % 90.0, 90.0 - abs(best - 30.0) % 90.0)

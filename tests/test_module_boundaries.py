@@ -1,0 +1,48 @@
+"""Import rules of the package, read from its source without importing it.
+
+No module imports another rica module's underscore (private) name, and no
+module imports scipy, which is a test-only dependency.
+"""
+
+import ast
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rica").glob("*.py"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def _violations(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+            if node.level or modules[0].split(".")[0] == "rica":
+                found += [f"private name {alias.name}" for alias in node.names
+                          if _private(alias.name)]
+                found += [f"private module {node.module}" for part in modules[0].split(".")
+                          if _private(part)]
+        else:
+            continue
+        found += [f"scipy import {m}" for m in modules if m.split(".")[0] == "scipy"]
+    return [f"{path.name}:{v}" for v in found]
+
+
+def test_package_sources_found():
+    assert {p.name for p in SOURCES} >= {"cli.py", "optimizer.py", "evaluation.py"}
+
+
+def test_no_private_cross_module_or_scipy_imports():
+    assert [v for path in SOURCES for v in _violations(path)] == []
+
+
+def test_the_check_sees_both_kinds_of_violation(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from .optimizer import _fd_gradient\nimport scipy.linalg\n"
+                   "from scipy import linalg\nfrom . import __version__\n")
+    assert _violations(bad) == ["bad.py:private name _fd_gradient",
+                                "bad.py:scipy import scipy.linalg", "bad.py:scipy import scipy"]
