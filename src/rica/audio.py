@@ -11,9 +11,8 @@ import numpy as np
 from .contrast_engine import KERNEL_ORACLE_LIMIT
 from .data_model import Dataset, random_mixing_matrix, whiten
 from .errors import DegenerateCovariance, RateMismatch, TooShort
-from .evaluation import (COND_RANGE, BenchmarkConfig, ExperimentRecord, amari_distance,
-                         derive_trial_seed, fit_config)
-from .optimizer import CONTRASTS, KERNEL_CONTRASTS, minimize_contrast
+from .evaluation import COND_RANGE, BenchmarkConfig, ExperimentRecord, amari_distance, fit_config
+from .optimizer import CONTRASTS, KERNEL_CONTRASTS, derive_seed, minimize_contrast
 
 MIN_SAMPLES = 1000
 DEFAULT_FIT_SAMPLES = 8000
@@ -115,19 +114,19 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
     if already_mixed:
         mixed_full = channels
     else:
-        spec = random_mixing_matrix(2, *COND_RANGE, seed=derive_trial_seed(seed, 11))
-        mixed_full = spec.matrix @ channels
-        true_unmixing = np.linalg.inv(spec.matrix)
+        a_mat = random_mixing_matrix(2, *COND_RANGE, seed=derive_seed(seed, 11))
+        mixed_full = a_mat @ channels
+        true_unmixing = np.linalg.inv(a_mat)
 
     fit_values = mixed_full[:, _fit_stride(n_total, fit_samples)]
     t_start = time.perf_counter()
     try:
-        whitened, transform = whiten(Dataset(fit_values, source="audio-fit"))
+        whitened, transform = whiten(Dataset(fit_values))
     except DegenerateCovariance as exc:
         raise DegenerateCovariance(
             "mixed channels are linearly dependent (identical sources?)"
         ) from exc
-    opt = fit_config(config, contrast, seed=derive_trial_seed(seed, 12))
+    opt = fit_config(config, contrast, seed=derive_seed(seed, 12))
     full = minimize_contrast(whitened, opt, whitening=transform).full_matrix()
     runtime = time.perf_counter() - t_start
 

@@ -153,7 +153,7 @@ def _cmd_scaling(args) -> int:
 def _cmd_sweep(args) -> int:
     samples = [sample_source(spec_by_label(label), args.n, seed=args.seed + k)
                for k, label in enumerate(args.sources)]
-    sources = Dataset(np.vstack(samples), source=",".join(args.sources))
+    sources = Dataset(np.vstack(samples))
     config = OptimizerConfig(m=args.m, gamma=args.gamma, kappa=args.kappa, sigma=args.sigma,
                              seed=args.seed, contrast=args.contrast)
     points = rotation_sweep(sources, config, grid_degrees=args.grid,
@@ -169,12 +169,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_kernel_bound(args) -> int:
     rng = np.random.default_rng(args.seed)
-    data = Dataset(rng.standard_normal((1, args.n)), source="kernel-bound")
+    data = Dataset(rng.standard_normal((1, args.n)))
     kernel = KernelSpec(sigma=args.sigma)
     rows = ["m,empirical_error_mean,analytic_bound"]
     for m in args.m_list:
-        errors = [empirical_approx_error(kernel, data, m, seed=args.seed + 1 + s,
-                                         oracle_limit=max(args.n, 4000))
+        errors = [empirical_approx_error(kernel, data, m, seed=args.seed + 1 + s)
                   for s in range(args.seeds)]
         rows.append(f"{m},{repr(float(np.mean(errors)))},"
                     f"{repr(approximation_error_bound(args.n, m))}")

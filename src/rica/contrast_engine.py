@@ -13,12 +13,12 @@ The contrasts are
 
 which are nonnegative and vanish exactly when no correlated direction exists.
 Since det B = det C / det D, rgv needs no spectrum: it is the log-det ratio
-1/2 (sum_i log det C_ii - log det C), from Cholesky factors.
+1/2 (sum_i log det C_ii - log det C), from Cholesky factors. Every contrast
+raises SingularDiagonal when the pencil is numerically singular.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +26,6 @@ import numpy as np
 from .data_model import Dataset
 from .errors import OracleSizeExceeded, SampleMismatch, SingularDiagonal
 from .random_features import KernelSpec, gram_matrix
-
-logger = logging.getLogger(__name__)
 
 # Default regularizers. The randomized pencil regularizes linearly (C + gamma I)
 # while the kernel oracle squares its regularized diagonal ((K + N kappa/2 I)^2);
@@ -41,17 +39,7 @@ DEFAULT_M = 200
 DEFAULT_SIGMA = 1.0
 KERNEL_ORACLE_LIMIT = 1000
 
-EIGENVALUE_CLAMP = 1e-12
-
-# Running totals of eigenvalues clamped at the floor before a logarithm,
-# keyed by contrast name; surfaced alongside the log warnings.
-CLAMP_EVENTS: dict[str, int] = {}
-
-
-def clamp_event_count(what: str | None = None) -> int:
-    if what is not None:
-        return CLAMP_EVENTS.get(what, 0)
-    return sum(CLAMP_EVENTS.values())
+EIGENVALUE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -142,19 +130,19 @@ def solve_pencil(pencil: CovariancePencil) -> PencilSpectrum:
                                 pencil.n_s, pencil.m)
 
 
-def _neg_half_log(values: np.ndarray, what: str) -> float:
-    clamped = int(np.sum(values < EIGENVALUE_CLAMP))
-    if clamped:
-        CLAMP_EVENTS[what] = CLAMP_EVENTS.get(what, 0) + clamped
-        logger.warning("%s: clamped %d eigenvalue(s) at %.0e before log", what, clamped,
-                       EIGENVALUE_CLAMP)
-    return float(-0.5 * np.sum(np.log(np.maximum(values, EIGENVALUE_CLAMP))))
+def _neg_half_log(values: np.ndarray) -> float:
+    """-1/2 sum log(values); a pencil eigenvalue below EIGENVALUE_FLOOR raises."""
+    if values.min() < EIGENVALUE_FLOOR:
+        raise SingularDiagonal(f"pencil eigenvalue {values.min():.3e} below the floor "
+                               f"{EIGENVALUE_FLOOR:.0e}; increase gamma (kappa for the "
+                               "kernel oracles)")
+    return float(-0.5 * np.sum(np.log(values)))
 
 
 def rcc(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> float:
     """Randomized canonical correlation contrast: -1/2 log(mu_min)."""
     spectrum = solve_pencil(covariance_blocks(feature_matrices, gamma))
-    return _neg_half_log(spectrum.eigenvalues[-1:], "rcc")
+    return _neg_half_log(spectrum.eigenvalues[-1:])
 
 
 def _log_det(matrix: np.ndarray) -> float:
@@ -234,10 +222,10 @@ def kernel_pencil_spectrum(datasets: list[Dataset], kernel: KernelSpec,
 def kcc_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
     """Exact kernel canonical correlation contrast: -1/2 log(mu_min)."""
     spectrum = kernel_pencil_spectrum(datasets, kernel, kappa)
-    return _neg_half_log(spectrum.eigenvalues[-1:], "kcc_oracle")
+    return _neg_half_log(spectrum.eigenvalues[-1:])
 
 
 def kgv_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
     """Exact kernel generalized variance contrast: -1/2 sum_k log(mu_k)."""
     spectrum = kernel_pencil_spectrum(datasets, kernel, kappa)
-    return _neg_half_log(spectrum.eigenvalues, "kgv_oracle")
+    return _neg_half_log(spectrum.eigenvalues)

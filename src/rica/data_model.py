@@ -1,4 +1,4 @@
-"""Datasets, centering/whitening, controlled random mixing, and outlier injection.
+"""Datasets, whitening, controlled random mixing, and outlier injection.
 
 Conventions used throughout the package:
   - rows are components/dimensions, columns are samples (a dataset is d x N);
@@ -19,18 +19,9 @@ EIGEN_FLOOR = 1e-12  # relative eigenvalue floor of a full-rank covariance
 
 @dataclass(frozen=True)
 class Dataset:
-    """A d x N matrix of samples plus provenance metadata.
-
-    Parameters
-    ----------
-    values : (d, N) array_like
-        Rows are dimensions/components, columns are samples.
-    source : str
-        Free-form provenance note (e.g. "mixed:c+b seed=7").
-    """
+    """A d x N matrix of samples: rows are dimensions/components, columns samples."""
 
     values: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
@@ -65,32 +56,10 @@ class WhiteningTransform:
     matrix: np.ndarray
 
 
-@dataclass(frozen=True)
-class MixingSpec:
-    """A square mixing matrix with its recorded condition number and seed."""
-
-    matrix: np.ndarray
-    condition_number: float
-    seed: int
-
-
 def empirical_covariance(values: np.ndarray) -> np.ndarray:
     """Covariance with the 1/N convention, about the empirical mean."""
     centered = values - values.mean(axis=1, keepdims=True)
     return (centered @ centered.T) / values.shape[1]
-
-
-def center(data: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Remove the per-row empirical mean.
-
-    Returns
-    -------
-    centered : Dataset
-    mean : (d,) ndarray
-        The removed row means.
-    """
-    mean = data.values.mean(axis=1)
-    return Dataset(data.values - mean[:, None], source=data.source), mean
 
 
 def whiten(data: Dataset) -> tuple[Dataset, WhiteningTransform]:
@@ -116,11 +85,11 @@ def whiten(data: Dataset) -> tuple[Dataset, WhiteningTransform]:
             f"covariance eigenvalues {w} fall at/below relative floor {EIGEN_FLOOR}"
         )
     matrix = (eigvecs / np.sqrt(w)) @ eigvecs.T
-    whitened = Dataset(matrix @ centered, source=data.source)
+    whitened = Dataset(matrix @ centered)
     return whitened, WhiteningTransform(mean=mean, matrix=matrix)
 
 
-def random_mixing_matrix(n: int, cond_min: float, cond_max: float, seed: int) -> MixingSpec:
+def random_mixing_matrix(n: int, cond_min: float, cond_max: float, seed: int) -> np.ndarray:
     """Draw A = U diag(s) V^T with a condition number uniform in [cond_min, cond_max].
 
     U and V come from QR orthonormalization of seeded Gaussian matrices. The
@@ -137,25 +106,22 @@ def random_mixing_matrix(n: int, cond_min: float, cond_max: float, seed: int) ->
     u_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     v_mat, _ = np.linalg.qr(rng.standard_normal((n, n)))
     if n == 1:
-        cond = 1.0  # a 1x1 matrix cannot realize any other ratio
-        singulars = np.array([1.0])
+        singulars = np.array([1.0])  # a 1x1 matrix cannot realize any other ratio
     else:
         log_c = np.log(cond)
         interior = np.exp(rng.uniform(0.0, log_c, size=n - 2)) if n > 2 else np.empty(0)
         # Pin the extremes so the realized ratio is exactly `cond`; scale to s_max = 1.
         singulars = np.sort(np.concatenate([[1.0, cond], interior]))[::-1] / cond
-    matrix = (u_mat * singulars) @ v_mat.T
-    return MixingSpec(matrix=matrix, condition_number=cond, seed=seed)
+    return (u_mat * singulars) @ v_mat.T
 
 
-def mix(sources: Dataset, spec: MixingSpec) -> Dataset:
+def mix(sources: Dataset, a_mat: np.ndarray) -> Dataset:
     """Apply the mixing matrix: output values = A @ sources.values."""
-    a_mat = spec.matrix
     if a_mat.shape[0] != a_mat.shape[1] or a_mat.shape[1] != sources.d:
         raise DimensionMismatch(
             f"mixing matrix {a_mat.shape} incompatible with {sources.d} source rows"
         )
-    return Dataset(a_mat @ sources.values, source=f"mixed({sources.source})")
+    return Dataset(a_mat @ sources.values)
 
 
 def inject_outliers(data: Dataset, count: int, magnitude: float, seed: int) -> Dataset:
@@ -174,7 +140,7 @@ def inject_outliers(data: Dataset, count: int, magnitude: float, seed: int) -> D
     signs = rng.choice([-1.0, 1.0], size=count)
     values = data.values.copy()
     values.flat[flat_idx] += signs * magnitude
-    return Dataset(values, source=f"outliers({data.source},count={count})")
+    return Dataset(values)
 
 
 def dataset_to_csv(data: Dataset, path, comment: str | None = None) -> None:
@@ -194,4 +160,4 @@ def dataset_from_csv(path) -> Dataset:
             if not line or line.startswith("#"):
                 continue
             rows.append([float(tok) for tok in line.split(",")])
-    return Dataset(np.array(rows), source=str(path))
+    return Dataset(np.array(rows))

@@ -17,8 +17,8 @@ import numpy as np
 from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
 from .data_model import Dataset, inject_outliers, mix, random_mixing_matrix, whiten
 from .errors import SingularMatrix
-from .optimizer import (CONTRASTS, OptimizerConfig, fastica_baseline, make_objective,
-                        minimize_contrast, plane_rotation)
+from .optimizer import (CONTRASTS, OptimizerConfig, derive_seed, fastica_baseline,
+                        make_objective, minimize_contrast, plane_rotation)
 from .source_bank import catalog, sample_source, spec_by_label
 
 METHODS = ("FASTICA",) + tuple(contrast.upper() for contrast in CONTRASTS)
@@ -95,11 +95,6 @@ def amari_from_product(a_mat: np.ndarray) -> float:
     return float((rows + cols) / (2.0 * n))
 
 
-def derive_trial_seed(master_seed: int, counter: int) -> int:
-    """Deterministic per-trial seed; stable across runs and platforms."""
-    return int(np.random.SeedSequence((master_seed, counter)).generate_state(1)[0])
-
-
 def _trial_labels(config: BenchmarkConfig, rng: np.random.Generator) -> tuple[str, ...]:
     if config.labels == "rand":
         all_labels = [s.label for s in catalog()]
@@ -113,15 +108,14 @@ def _draw_trial_data(labels: tuple[str, ...], config: BenchmarkConfig,
     rows = []
     for k, label in enumerate(labels):
         rows.append(sample_source(spec_by_label(label), config.N,
-                                  seed=derive_trial_seed(trial_seed, 100 + k)))
-    sources = Dataset(np.vstack(rows), source="+".join(labels))
-    spec = random_mixing_matrix(len(labels), *COND_RANGE,
-                                seed=derive_trial_seed(trial_seed, 200))
-    mixed = mix(sources, spec)
+                                  seed=derive_seed(trial_seed, 100 + k)))
+    sources = Dataset(np.vstack(rows))
+    a_mat = random_mixing_matrix(len(labels), *COND_RANGE, seed=derive_seed(trial_seed, 200))
+    mixed = mix(sources, a_mat)
     if config.outlier_count > 0:
         mixed = inject_outliers(mixed, config.outlier_count, OUTLIER_MAGNITUDE,
-                                seed=derive_trial_seed(trial_seed, 300))
-    return mixed, np.linalg.inv(spec.matrix)
+                                seed=derive_seed(trial_seed, 300))
+    return mixed, np.linalg.inv(a_mat)
 
 
 def fit_config(config: BenchmarkConfig, method: str, seed: int) -> OptimizerConfig:
@@ -141,10 +135,10 @@ def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConf
     t_start = time.perf_counter()
     whitened, transform = whiten(mixed)
     if method == "FASTICA":
-        result = fastica_baseline(whitened, seed=derive_trial_seed(trial_seed, 400))
+        result = fastica_baseline(whitened, seed=derive_seed(trial_seed, 400))
         full = result.rotation @ transform.matrix
     else:
-        opt = fit_config(config, method, seed=derive_trial_seed(trial_seed, 500))
+        opt = fit_config(config, method, seed=derive_seed(trial_seed, 500))
         full = minimize_contrast(whitened, opt, whitening=transform).full_matrix()
     runtime = time.perf_counter() - t_start
     return ExperimentRecord(
@@ -158,8 +152,8 @@ def run_benchmark(config: BenchmarkConfig) -> list[ExperimentRecord]:
     """Replicated separation benchmark over the configured methods."""
     records = []
     for rep in range(config.replicates):
-        trial_seed = derive_trial_seed(config.master_seed, rep)
-        labels = _trial_labels(config, np.random.default_rng(derive_trial_seed(trial_seed, 1)))
+        trial_seed = derive_seed(config.master_seed, rep)
+        labels = _trial_labels(config, np.random.default_rng(derive_seed(trial_seed, 1)))
         for method in config.methods:
             records.append(run_single_trial(labels, method, config, trial_seed))
     return records
@@ -190,7 +184,6 @@ class ScalingPoint:
     method: str
     N: int
     median_seconds: float
-    repetitions: int
 
 
 @dataclass(frozen=True)
@@ -232,6 +225,10 @@ def run_scaling_study(methods_and_sizes: dict[str, tuple[int, ...]],
                       config: BenchmarkConfig | None = None,
                       repetitions: int = 5) -> ScalingStudy:
     """Time contrast evaluations per method per N and fit log-log exponents."""
+    for method, sizes in methods_and_sizes.items():
+        if len(set(sizes)) < 2:
+            raise ValueError(f"{method}: a runtime exponent needs two or more distinct N, "
+                             f"got {tuple(sizes)}")
     config = config or BenchmarkConfig(labels=("c", "c"))
     points = []
     exponents = {}
@@ -239,10 +236,10 @@ def run_scaling_study(methods_and_sizes: dict[str, tuple[int, ...]],
         med = []
         for n_samples in sizes:
             seconds = _time_contrast_evaluation(method, n_samples, config,
-                                                seed=derive_trial_seed(config.master_seed, n_samples),
+                                                seed=derive_seed(config.master_seed, n_samples),
                                                 repetitions=repetitions)
             med.append(seconds)
-            points.append(ScalingPoint(method, n_samples, seconds, repetitions))
+            points.append(ScalingPoint(method, n_samples, seconds))
         exponents[method] = fit_runtime_exponent(sizes, med)
     return ScalingStudy(points=points, exponents=exponents)
 

@@ -120,19 +120,16 @@ def draw_objective_maps(config: OptimizerConfig, n_components: int) -> list[Feat
     maps = []
     half = (config.m + 1) // 2
     for comp in range(n_components):
-        base = draw_feature_map(kernel, half, 1, seed=_component_seed(config.seed, comp))
+        base = draw_feature_map(kernel, half, 1, seed=derive_seed(config.seed, 9001, comp))
         freqs = np.vstack([base.frequencies, base.frequencies])
         phases = np.concatenate([base.phases, 2.0 * np.pi - base.phases])
-        maps.append(FeatureMap(frequencies=freqs, phases=phases, seed=base.seed))
+        maps.append(FeatureMap(frequencies=freqs, phases=phases))
     return maps
 
 
-def _component_seed(seed: int, comp: int) -> int:
-    return int(np.random.SeedSequence((seed, 9001, comp)).generate_state(1)[0])
-
-
-def _restart_seed(seed: int, restart: int) -> int:
-    return int(np.random.SeedSequence((seed, 7310, restart)).generate_state(1)[0])
+def derive_seed(*keys: int) -> int:
+    """Deterministic seed from integer keys; stable across runs and platforms."""
+    return int(np.random.SeedSequence(keys).generate_state(1)[0])
 
 
 def _check_whitened(values: np.ndarray, tol: float = 1e-5) -> None:
@@ -266,9 +263,9 @@ def fastica_baseline(whitened: Dataset, seed: int) -> FastICAResult:
 def _start(whitened: Dataset, config: OptimizerConfig, restart: int) -> np.ndarray:
     n = whitened.d
     if restart == 0 and config.init == "fastica":
-        return fastica_baseline(whitened, seed=_restart_seed(config.seed, 0)).rotation
+        return fastica_baseline(whitened, seed=derive_seed(config.seed, 7310, 0)).rotation
     # Haar-distributed on O(n): QR of a Gaussian matrix, signs fixed by diag(R).
-    rng = np.random.default_rng(_restart_seed(config.seed, restart))
+    rng = np.random.default_rng(derive_seed(config.seed, 7310, restart))
     q, r = np.linalg.qr(rng.standard_normal((n, n)))
     return q * np.sign(np.diag(r))
 

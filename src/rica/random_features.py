@@ -13,9 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_model import Dataset
-from .errors import DimensionMismatch, OracleSizeExceeded
+from .errors import DimensionMismatch
 
-GRAM_ORACLE_LIMIT = 4000
 POWER_TOL = 1e-6  # relative change of the power-iteration estimate that stops it
 POWER_MAX_ITERS = 1000
 
@@ -37,7 +36,6 @@ class FeatureMap:
 
     frequencies: np.ndarray  # (m, d)
     phases: np.ndarray  # (m,)
-    seed: int
 
     @property
     def m(self) -> int:
@@ -61,7 +59,7 @@ def draw_feature_map(kernel: KernelSpec, m: int, d: int, seed: int) -> FeatureMa
     rng = np.random.default_rng(seed)
     base = rng.standard_normal((m, d))
     phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
-    return FeatureMap(frequencies=base / kernel.sigma, phases=phases, seed=seed)
+    return FeatureMap(frequencies=base / kernel.sigma, phases=phases)
 
 
 def apply_feature_map(fmap: FeatureMap, data: Dataset) -> np.ndarray:
@@ -75,10 +73,8 @@ def apply_feature_map(fmap: FeatureMap, data: Dataset) -> np.ndarray:
     return np.sqrt(2.0 / fmap.m) * np.cos(fmap.frequencies @ data.values + fmap.phases[:, None])
 
 
-def gram_matrix(kernel: KernelSpec, data: Dataset, oracle_limit: int = GRAM_ORACLE_LIMIT) -> np.ndarray:
-    """Exact N x N kernel matrix; size-capped because downstream cost is cubic."""
-    if data.N > oracle_limit:
-        raise OracleSizeExceeded(f"N={data.N} exceeds the Gram oracle limit {oracle_limit}")
+def gram_matrix(kernel: KernelSpec, data: Dataset) -> np.ndarray:
+    """Exact N x N kernel matrix (O(N^2) memory; the kernel oracles cap N)."""
     x = data.values
     sq = np.sum(x * x, axis=0)
     dist2 = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
@@ -122,10 +118,9 @@ def operator_norm(matrix: np.ndarray, seed: int = 0) -> float:
     return estimate
 
 
-def empirical_approx_error(kernel: KernelSpec, data: Dataset, m: int, seed: int,
-                           oracle_limit: int = GRAM_ORACLE_LIMIT) -> float:
+def empirical_approx_error(kernel: KernelSpec, data: Dataset, m: int, seed: int) -> float:
     """Operator norm of z(X)^T z(X) - K for one seeded feature draw."""
-    gram = gram_matrix(kernel, data, oracle_limit=oracle_limit)
+    gram = gram_matrix(kernel, data)
     fmap = draw_feature_map(kernel, m=m, d=data.d, seed=seed)
     z = apply_feature_map(fmap, data)
     diff = z.T @ z - gram

@@ -235,25 +235,28 @@ def test_rcc_nondecreasing_in_dependence():
     assert v0 <= v5 <= v9
 
 
-def test_eigenvalue_clamp_is_counted(caplog):
-    import logging
+def _identical_features():
+    z = features(np.random.default_rng(1).uniform(-1.7, 1.7, 2000), 50, seed=3)
+    return [z, z.copy()]
 
-    from rica import contrast_engine as ce
 
-    rng = np.random.default_rng(1)
-    z = features(rng.uniform(-1.7, 1.7, 2000), 50, seed=3)
-    before = ce.clamp_event_count()
-    with caplog.at_level(logging.WARNING, logger="rica.contrast_engine"):
-        value = rcc([z, z.copy()], gamma=1e-13)  # 1 - rho underflows the floor
-    assert value == pytest.approx(-0.5 * np.log(1e-12))
-    assert ce.clamp_event_count() - before >= 1
-    assert any("clamped" in rec.message for rec in caplog.records)
+def _identical_variables():
+    data = Dataset(np.random.default_rng(8).uniform(-1, 1, (1, 400)))
+    return [data, Dataset(data.values.copy())]
+
+
+@pytest.mark.parametrize("contrast", [
+    lambda: rcc(_identical_features(), gamma=1e-13),  # 1 - rho underflows the floor
+    lambda: kcc_oracle(_identical_variables(), KERNEL, kappa=1e-14),
+    lambda: kgv_oracle(_identical_variables(), KERNEL, kappa=1e-14),
+], ids=["rcc", "kcc_oracle", "kgv_oracle"])
+def test_singular_pencil_raises(contrast):
+    with pytest.raises(SingularDiagonal, match="increase gamma"):
+        contrast()
 
 
 def test_kcc_oracle_identical_variable():
-    rng = np.random.default_rng(8)
-    data = Dataset(rng.uniform(-1, 1, (1, 400)))
-    assert kcc_oracle([data, Dataset(data.values.copy())], KERNEL, kappa=0.02) >= 1.0
+    assert kcc_oracle(_identical_variables(), KERNEL, kappa=0.02) >= 1.0
 
 
 def test_kernel_oracles_independent_baselines():

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
-from rica import optimizer
+from rica import evaluation, optimizer
 from rica.errors import NoProgress, SingularMatrix
 from rica.evaluation import (BenchmarkConfig, amari_distance, amari_from_product,
-                             derive_trial_seed, fit_runtime_exponent, mean_amari_by,
-                             records_to_csv_rows, rotation_sweep, run_benchmark,
-                             run_outlier_study, run_scaling_study, run_single_trial,
-                             summary_table)
+                             fit_runtime_exponent, mean_amari_by, records_to_csv_rows,
+                             rotation_sweep, run_benchmark, run_outlier_study,
+                             run_scaling_study, run_single_trial, summary_table)
 from rica.data_model import Dataset
-from rica.optimizer import OptimizerConfig
+from rica.optimizer import OptimizerConfig, derive_seed
 from rica.source_bank import sample_source, spec_by_label
 
 FAST_CONFIG = dict(N=300, replicates=3, m=64, max_iters=20)
@@ -60,9 +59,12 @@ def test_amari_rejects_singular_w():
 
 
 def test_derive_trial_seed_is_stable():
-    assert derive_trial_seed(1, 0) == derive_trial_seed(1, 0)
-    assert derive_trial_seed(1, 0) != derive_trial_seed(1, 1)
-    assert derive_trial_seed(1, 0) != derive_trial_seed(2, 0)
+    assert derive_seed(1, 0) == derive_seed(1, 0)
+    assert derive_seed(1, 0) != derive_seed(1, 1)
+    assert derive_seed(1, 0) != derive_seed(2, 0)
+    # One recipe for trial, feature-map and restart seeds: SeedSequence(keys), first word.
+    assert (derive_seed(1, 0), derive_seed(3, 9001, 1), derive_seed(3, 7310, 2)) == \
+        (1835504127, 1490568316, 3495705403)
 
 
 def test_run_benchmark_deterministic():
@@ -140,7 +142,7 @@ def test_kernel_oracle_trial_runs_every_restart(monkeypatch):
 
     monkeypatch.setattr(optimizer, "descend", descend)
     config = BenchmarkConfig(labels=("c", "b"), N=250, restarts=2, max_iters=8)
-    record = run_single_trial(("c", "b"), "KGV", config, derive_trial_seed(19, 0))
+    record = run_single_trial(("c", "b"), "KGV", config, derive_seed(19, 0))
     assert len(starts) == 2
     assert 0.0 <= record.amari <= 1.0
 
@@ -148,6 +150,16 @@ def test_kernel_oracle_trial_runs_every_restart(monkeypatch):
 def test_fit_runtime_exponent_recovers_slope():
     sizes = np.array([250, 500, 1000, 2000])
     assert abs(fit_runtime_exponent(sizes, 1e-6 * sizes.astype(float) ** 3) - 3.0) < 1e-9
+
+
+@pytest.mark.parametrize("plan", [{"RGV": (200,)}, {"RGV": (200, 400), "KGV": (200, 200)}])
+def test_run_scaling_study_needs_two_sizes_per_method(plan, monkeypatch):
+    timed = []
+    monkeypatch.setattr(evaluation, "_time_contrast_evaluation",
+                        lambda *args, **kwargs: timed.append(args) or 1.0)
+    with pytest.raises(ValueError, match="two or more distinct N"):
+        run_scaling_study(plan, repetitions=1)
+    assert timed == []
 
 
 def test_run_scaling_study_smoke():

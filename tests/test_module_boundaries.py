@@ -1,13 +1,15 @@
 """Import rules of the package, read from its source without importing it.
 
-No module imports another rica module's underscore (private) name, and no
-module imports scipy, which is a test-only dependency.
+No module imports another rica module's underscore (private) name, no
+module imports scipy, which is a test-only dependency, and no module keeps
+global state: no `logging` import, no module-level dict, list or set.
 """
 
 import ast
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rica").glob("*.py"))
+MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
 
 
 def _private(name: str) -> bool:
@@ -15,8 +17,12 @@ def _private(name: str) -> bool:
 
 
 def _violations(path: Path) -> list[str]:
-    found = []
-    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"module-level {type(node.value).__name__.lower()} "
+             f"{ast.unparse(node.targets[0] if isinstance(node, ast.Assign) else node.target)}"
+             for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, MUTABLE)]
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
@@ -28,7 +34,8 @@ def _violations(path: Path) -> list[str]:
                           if _private(part)]
         else:
             continue
-        found += [f"scipy import {m}" for m in modules if m.split(".")[0] == "scipy"]
+        found += [f"{m.split('.')[0]} import {m}" for m in modules
+                  if m.split(".")[0] in ("scipy", "logging")]
     return [f"{path.name}:{v}" for v in found]
 
 
@@ -43,6 +50,10 @@ def test_no_private_cross_module_or_scipy_imports():
 def test_the_check_sees_both_kinds_of_violation(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("from .optimizer import _fd_gradient\nimport scipy.linalg\n"
-                   "from scipy import linalg\nfrom . import __version__\n")
-    assert _violations(bad) == ["bad.py:private name _fd_gradient",
-                                "bad.py:scipy import scipy.linalg", "bad.py:scipy import scipy"]
+                   "from scipy import linalg\nfrom . import __version__\nimport logging\n"
+                   "COUNTS: dict[str, int] = {}\nSEEN = []\nNAMES = ('a', 'b')\n"
+                   "def f():\n    local = {}\n")
+    assert _violations(bad) == ["bad.py:module-level dict COUNTS", "bad.py:module-level list SEEN",
+                                "bad.py:private name _fd_gradient",
+                                "bad.py:scipy import scipy.linalg", "bad.py:scipy import scipy",
+                                "bad.py:logging import logging"]

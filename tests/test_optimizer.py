@@ -138,11 +138,11 @@ def test_minimize_contrast_uniform_pair_50_trials():
     failures = 0
     for seed in range(50):
         sources = uniform_pair(1000, seed=20000 + 31 * seed)
-        spec = random_mixing_matrix(2, 1.0, 2.0, seed=seed)
-        whitened, transform = whiten(mix(sources, spec))
+        a_mat = random_mixing_matrix(2, 1.0, 2.0, seed=seed)
+        whitened, transform = whiten(mix(sources, a_mat))
         config = OptimizerConfig(seed=seed, contrast="rgv")
         model = minimize_contrast(whitened, config, whitening=transform)
-        err = amari_distance(model.full_matrix(), np.linalg.inv(spec.matrix))
+        err = amari_distance(model.full_matrix(), np.linalg.inv(a_mat))
         failures += err > 0.10
     assert failures <= 5
 
@@ -195,11 +195,11 @@ def test_fastica_accuracy_uniform_plus_laplace():
     for seed in range(100):
         rows = np.vstack([sample_source(spec_by_label("c"), 1000, seed=40000 + seed),
                           sample_source(spec_by_label("b"), 1000, seed=50000 + seed)])
-        spec = random_mixing_matrix(2, 1.0, 2.0, seed=seed)
-        whitened, transform = whiten(mix(Dataset(rows), spec))
+        a_mat = random_mixing_matrix(2, 1.0, 2.0, seed=seed)
+        whitened, transform = whiten(mix(Dataset(rows), a_mat))
         result = fastica_baseline(whitened, seed=seed)
         full = result.rotation @ transform.matrix
-        errors.append(amari_distance(full, np.linalg.inv(spec.matrix)))
+        errors.append(amari_distance(full, np.linalg.inv(a_mat)))
     mean_x100 = 100.0 * np.mean(errors)
     assert 3.0 <= mean_x100 <= 12.0
 
@@ -242,9 +242,9 @@ def test_minimize_contrast_separates_three_sources():
     for seed in range(4):
         rows = np.vstack([sample_source(spec_by_label(label), 1000, seed=60000 + 10 * seed + k)
                           for k, label in enumerate("cbc")])
-        spec = random_mixing_matrix(3, 1.0, 2.0, seed=seed)
-        whitened, transform = whiten(mix(Dataset(rows), spec))
-        truth = np.linalg.inv(spec.matrix)
+        a_mat = random_mixing_matrix(3, 1.0, 2.0, seed=seed)
+        whitened, transform = whiten(mix(Dataset(rows), a_mat))
+        truth = np.linalg.inv(a_mat)
         model = minimize_contrast(whitened, OptimizerConfig(seed=seed, m=64, restarts=1),
                                   whitening=transform)
         q = model.rotation

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rica.data_model import Dataset
-from rica.errors import DimensionMismatch, OracleSizeExceeded
+from rica.errors import DimensionMismatch
 from rica.random_features import (FeatureMap, KernelSpec, apply_feature_map,
                                   approximation_error_bound, draw_feature_map,
                                   empirical_approx_error, gram_matrix, operator_norm)
@@ -38,7 +38,7 @@ def test_frequency_std_matches_spectral_density():
 
 def test_apply_feature_map_zero_frequencies_gives_constant():
     m = 5
-    fmap = FeatureMap(frequencies=np.zeros((m, 1)), phases=np.zeros(m), seed=0)
+    fmap = FeatureMap(frequencies=np.zeros((m, 1)), phases=np.zeros(m))
     out = apply_feature_map(fmap, Dataset([[0.3, -2.0, 11.0]]))
     np.testing.assert_allclose(out, np.sqrt(2.0 / m))
 
@@ -91,12 +91,6 @@ def test_gram_matrix_symmetric_psd_unit_diagonal():
     np.testing.assert_array_equal(gram, gram.T)
     np.testing.assert_allclose(np.diag(gram), 1.0)
     assert np.linalg.eigvalsh(gram)[0] >= -1e-10
-
-
-def test_gram_matrix_size_cap():
-    data = Dataset(np.zeros((1, 11)))
-    with pytest.raises(OracleSizeExceeded):
-        gram_matrix(KernelSpec(sigma=1.0), data, oracle_limit=10)
 
 
 def test_bound_value_direct_evaluation():
