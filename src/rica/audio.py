@@ -59,12 +59,6 @@ def write_wav(path, clip: AudioClip) -> None:
         handle.writeframes(ints.tobytes())
 
 
-def synthetic_tone(frequency_hz: float, seconds: float, rate_hz: int = 8000,
-                   amplitude: float = 0.8, phase: float = 0.0) -> AudioClip:
-    t = np.arange(int(round(seconds * rate_hz))) / rate_hz
-    return AudioClip(amplitude * np.sin(2.0 * np.pi * frequency_hz * t + phase), rate_hz)
-
-
 def _standardize(samples: np.ndarray) -> np.ndarray:
     centered = samples - samples.mean()
     std = centered.std()

@@ -56,12 +56,6 @@ class WhiteningTransform:
     matrix: np.ndarray
 
 
-def empirical_covariance(values: np.ndarray) -> np.ndarray:
-    """Covariance with the 1/N convention, about the empirical mean."""
-    centered = values - values.mean(axis=1, keepdims=True)
-    return (centered @ centered.T) / values.shape[1]
-
-
 def whiten(data: Dataset) -> tuple[Dataset, WhiteningTransform]:
     """Center the data and map it to identity empirical covariance.
 

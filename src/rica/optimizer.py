@@ -10,6 +10,15 @@ stays orthogonal with the determinant of its start. That determinant does
 not matter: the contrasts are invariant under sign flips of the rotated
 components (exactly so, with the antithetic feature phases of
 `draw_objective_maps`), so Q and diag(+-1) Q are the same unmixing.
+
+The slopes g_ij = d/dh f(exp(h E_ij) Q) at h = 0 come from the objective.
+For RCC and RGV they are closed-form (Edelman, Arias & Smith 1998): with
+Y = Q X and H = df/dY, df/dQ = H X^T and g_ij = A_ji - A_ij for
+A = (df/dQ) Q^T = H Y^T. H comes from the contrast's gradient with respect to
+the features, pulled back through the feature maps, and reuses the arrays of
+the evaluation at the same Q, which in `descend` is always the one just
+accepted. The kernel oracles take central differences, two evaluations per
+plane; `finite_diff_gradient` keeps them as the test oracle for every contrast.
 """
 
 from __future__ import annotations
@@ -22,11 +31,12 @@ from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_S
                               kcc_oracle, kgv_oracle, rcc, rgv)
 from .data_model import Dataset, WhiteningTransform
 from .errors import NoProgress
-from .random_features import FeatureMap, KernelSpec, apply_feature_map, draw_feature_map
+from .random_features import (FeatureMap, KernelSpec, apply_feature_map, draw_feature_map,
+                              pull_back)
 
 ARMIJO_C = 1e-4
 LINE_SEARCH_MAX_HALVINGS = 30
-FD_STEP = 1e-4  # central-difference step of the descent's slopes, in radians
+FD_STEP = 1e-4  # central-difference step of the FD slopes, in radians
 FASTICA_TOL = 1e-6
 FASTICA_MAX_SWEEPS = 200
 CONTRASTS = ("rcc", "rgv", "kcc", "kgv")
@@ -139,39 +149,94 @@ def _check_whitened(values: np.ndarray, tol: float = 1e-5) -> None:
         raise ValueError("optimizer input must be whitened (identity covariance)")
 
 
-def make_objective(whitened: Dataset, config: OptimizerConfig):
+class Objective:
+    """A contrast f(Q) of the components Q @ whitened, with its slopes on O(n).
+
+    `slopes(q)` holds d/dh f(exp(h E_ij) q) at h = 0 per plane (i, j), i < j
+    in lexicographic order. Subclasses define `__call__`; this class takes the
+    slopes by central differences at FD_STEP.
+    """
+
+    def __call__(self, q: np.ndarray) -> float:
+        raise NotImplementedError
+
+    def slopes(self, q: np.ndarray) -> np.ndarray:
+        return _central_slopes(self, q, FD_STEP)
+
+
+class _KernelObjective(Objective):
+    """KCC or KGV, the exact kernel oracles."""
+
+    def __init__(self, whitened: Dataset, config: OptimizerConfig):
+        self.values = whitened.values
+        self.oracle = kcc_oracle if config.contrast == "kcc" else kgv_oracle
+        self.kernel = KernelSpec(sigma=config.sigma)
+        self.kappa = config.kappa
+
+    def __call__(self, q: np.ndarray) -> float:
+        rotated = q @ self.values
+        parts = [Dataset(rotated[i:i + 1]) for i in range(len(rotated))]
+        return self.oracle(parts, self.kernel, kappa=self.kappa)
+
+
+class _FeatureObjective(Objective):
+    """RCC or RGV of frozen per-component feature maps, with closed-form slopes.
+
+    It keeps the last evaluation (its q, components and `ContrastEvaluation`)
+    for the slopes at that q. The next evaluation drops it before allocating,
+    and the slopes consume it, so at most one is alive.
+    """
+
+    def __init__(self, whitened: Dataset, config: OptimizerConfig):
+        self.values = whitened.values
+        self.maps = draw_objective_maps(config, whitened.d)
+        self.contrast = rcc if config.contrast == "rcc" else rgv
+        self.gamma = config.gamma
+        self.last = None
+
+    def __call__(self, q: np.ndarray) -> float:
+        self.last = None
+        rotated = q @ self.values
+        feats = [apply_feature_map(fmap, Dataset(rotated[i:i + 1]))
+                 for i, fmap in enumerate(self.maps)]
+        evaluation = self.contrast(feats, gamma=self.gamma)
+        self.last = (q.copy(), rotated, evaluation)
+        return evaluation.value
+
+    def slopes(self, q: np.ndarray) -> np.ndarray:
+        if self.last is None or not np.array_equal(self.last[0], q):
+            self(q)
+        _, rotated, evaluation = self.last
+        self.last = None
+        weights = evaluation.feature_gradient()
+        m = self.maps[0].m
+        grad = np.vstack([pull_back(fmap, Dataset(rotated[i:i + 1]), weights[i * m:(i + 1) * m])
+                          for i, fmap in enumerate(self.maps)])
+        a = grad @ rotated.T
+        i, j = np.triu_indices(len(q), 1)
+        return a[j, i] - a[i, j]
+
+
+def make_objective(whitened: Dataset, config: OptimizerConfig) -> Objective:
     """The configured contrast of the components Q @ whitened, as a function of Q.
 
     RCC and RGV use feature maps drawn once from config.seed, so the function
-    is deterministic; KCC and KGV are the exact kernel oracles.
+    is deterministic, and have closed-form slopes; KCC and KGV are the exact
+    kernel oracles, with central-difference slopes.
     """
     _check_whitened(whitened.values)
-    n = whitened.d
-    kernel = KernelSpec(sigma=config.sigma)
-    maps = None if config.contrast in KERNEL_CONTRASTS else draw_objective_maps(config, n)
-
-    def objective(q: np.ndarray) -> float:
-        rotated = q @ whitened.values
-        parts = [Dataset(rotated[i:i + 1]) for i in range(n)]
-        if config.contrast == "kcc":
-            return kcc_oracle(parts, kernel, kappa=config.kappa)
-        if config.contrast == "kgv":
-            return kgv_oracle(parts, kernel, kappa=config.kappa)
-        feats = [apply_feature_map(maps[i], parts[i]) for i in range(n)]
-        if config.contrast == "rcc":
-            return rcc(feats, gamma=config.gamma)
-        return rgv(feats, gamma=config.gamma)
-
-    return objective
+    if config.contrast in KERNEL_CONTRASTS:
+        return _KernelObjective(whitened, config)
+    return _FeatureObjective(whitened, config)
 
 
 def finite_diff_gradient(q: np.ndarray, whitened: Dataset, config: OptimizerConfig,
                          step: float = FD_STEP) -> np.ndarray:
-    """Central differences along each plane generator at q (`descend`'s slopes at FD_STEP)."""
-    return _fd_gradient(make_objective(whitened, config), q, step)
+    """Central differences along each plane generator at q: the slopes' test oracle."""
+    return _central_slopes(make_objective(whitened, config), q, step)
 
 
-def _fd_gradient(objective, q: np.ndarray, step: float) -> np.ndarray:
+def _central_slopes(objective, q: np.ndarray, step: float) -> np.ndarray:
     """Slope of f(exp(h E_ij) q) at h = 0 per plane (i, j), lexicographic order."""
     n = q.shape[0]
     planes = zip(*np.triu_indices(n, 1))
@@ -180,12 +245,14 @@ def _fd_gradient(objective, q: np.ndarray, step: float) -> np.ndarray:
                      for i, j in planes])
 
 
-def descend(objective, start: np.ndarray, tol: float,
+def descend(objective: Objective, start: np.ndarray, tol: float,
             max_iters: int) -> tuple[np.ndarray, float, int, list[float]]:
     """Gradient descent on O(n) with backtracking (halving) Armijo line search.
 
-    Returns (rotation, value, iterations, accepted-value trace). Raises
-    NoProgress if the very first line search fails to find a decrease.
+    The slopes are `objective.slopes` at the current iterate, whose value was
+    the last one computed. Returns (rotation, value, iterations,
+    accepted-value trace). Raises NoProgress if the very first line search
+    fails to find a decrease although the squared slope norm is at least tol.
     """
     q = np.array(start, dtype=float)
     n = q.shape[0]
@@ -193,7 +260,7 @@ def descend(objective, start: np.ndarray, tol: float,
     trace = [value]
     step0 = 1.0
     for iteration in range(1, max_iters + 1):
-        grad = _fd_gradient(objective, q, FD_STEP)
+        grad = objective.slopes(q)
         grad_sq = float(grad @ grad)
         if grad_sq == 0.0:
             return q, value, iteration - 1, trace
@@ -208,7 +275,11 @@ def descend(objective, start: np.ndarray, tol: float,
                 break
             step *= 0.5
         if not accepted:
-            if iteration == 1:
+            # With grad_sq < tol a unit step would improve f by less than tol
+            # to first order: the start is stationary to working precision.
+            # Closed-form slopes are rounding noise at an exact minimum, where
+            # central differences cancel to exactly 0.
+            if iteration == 1 and grad_sq >= tol:
                 raise NoProgress("first line search found no decrease")
             return q, value, iteration - 1, trace
         improvement = value - cand_value

@@ -73,6 +73,23 @@ def apply_feature_map(fmap: FeatureMap, data: Dataset) -> np.ndarray:
     return np.sqrt(2.0 / fmap.m) * np.cos(fmap.frequencies @ data.values + fmap.phases[:, None])
 
 
+def pull_back(fmap: FeatureMap, data: Dataset, weights: np.ndarray) -> np.ndarray:
+    """Pull feature weights back to the data: a (d, N) matrix whose column k is
+    sum_i weights[i, k] * dz_i/dx at x^k.
+
+    With `weights` the gradient of a function of z(X) with respect to the
+    (m, N) features, the result is its gradient with respect to the data. The
+    derivative of sqrt(2/m) cos(w^T x + b) is -sqrt(2/m) sin(w^T x + b) w.
+    """
+    if data.d != fmap.d:
+        raise DimensionMismatch(f"feature map is {fmap.d}-dim, data is {data.d}-dim")
+    sines = fmap.frequencies @ data.values
+    sines += fmap.phases[:, None]
+    np.sin(sines, out=sines)
+    sines *= weights
+    return -np.sqrt(2.0 / fmap.m) * (fmap.frequencies.T @ sines)
+
+
 def gram_matrix(kernel: KernelSpec, data: Dataset) -> np.ndarray:
     """Exact N x N kernel matrix (O(N^2) memory; the kernel oracles cap N)."""
     x = data.values

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from helpers import rho
 from rica.cli import main as cli_main
 from rica.contrast_engine import (covariance_blocks, kernel_pencil_spectrum, kgv_oracle,
                                   rcc, rgv, solve_pencil)
@@ -60,7 +61,7 @@ def convergence_instance():
     x = rng.standard_normal(n)
     y = 0.7 * x + 0.714 * rng.standard_normal(n)
     datasets = [Dataset(x[None, :]), Dataset(y[None, :])]
-    rho_oracle = kernel_pencil_spectrum(datasets, KERNEL).rho
+    rho_oracle = rho(kernel_pencil_spectrum(datasets, KERNEL))
     kgv_target = kgv_oracle(datasets, KERNEL)
     gaps = {}
     for m in (50, 1000):
@@ -68,8 +69,8 @@ def convergence_instance():
         for s in range(5):
             z = [features(x, m, seed=1000 + s), features(y, m, seed=5000 + s)]
             spectrum = solve_pencil(covariance_blocks(z))
-            rho_gaps.append(abs(spectrum.rho - rho_oracle))
-            rgv_gaps.append(abs(rgv(z) - kgv_target))
+            rho_gaps.append(abs(rho(spectrum) - rho_oracle))
+            rgv_gaps.append(abs(rgv(z).value - kgv_target))
         gaps[m] = (float(np.mean(rho_gaps)), float(np.mean(rgv_gaps)))
     return gaps
 
@@ -195,7 +196,7 @@ def test_criterion_8_property_suites(tmp_path):
         failures.append("pencil symmetry about 1")
 
     # contrast nonnegativity
-    if rcc(z, gamma=0.01) < -1e-9 or rgv(z, gamma=0.01) < -1e-9:
+    if rcc(z, gamma=0.01).value < -1e-9 or rgv(z, gamma=0.01).value < -1e-9:
         failures.append("contrast nonnegativity")
 
     # zero-diagonal pencil equivalence for n_s=2 (1e-8)
@@ -209,7 +210,7 @@ def test_criterion_8_property_suites(tmp_path):
     diag[:m, :m] = pencil.blocks[0, 0] + gamma * np.eye(m)
     diag[m:, m:] = pencil.blocks[1, 1] + gamma * np.eye(m)
     rho_direct = float(np.max(scipy.linalg.eigh(zero_diag, diag, eigvals_only=True)))
-    if not abs(rcc(z, gamma=gamma) - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8:
+    if not abs(rcc(z, gamma=gamma).value - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8:
         failures.append("zero-diagonal equivalence")
 
     # end-to-end seed determinism: byte-identical CSV from repeated runs

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rica import audio
-from rica.audio import (AudioClip, read_wav, separate_audio, synthetic_tone, write_wav)
+from helpers import synthetic_tone
+from rica.audio import AudioClip, read_wav, separate_audio, write_wav
 from rica.contrast_engine import kgv_oracle, rgv
 from rica.data_model import Dataset
 from rica.errors import DegenerateCovariance, RateMismatch, TooShort

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from rica import cli
-from rica.audio import synthetic_tone, write_wav
+from helpers import synthetic_tone
+from rica.audio import write_wav
 from rica.cli import main
 from rica.data_model import Dataset, dataset_to_csv, mix, random_mixing_matrix
 from rica.evaluation import ScalingStudy

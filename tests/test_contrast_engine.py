@@ -4,6 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import rho
 from rica.contrast_engine import (KERNEL_ORACLE_LIMIT, covariance_blocks, kcc_oracle,
                                   kernel_pencil_spectrum, kgv_oracle, rcc, rgv, solve_pencil)
 from rica.data_model import Dataset
@@ -83,7 +84,41 @@ def test_rgv_log_det_equals_pencil_spectrum(seed, n_s, m, n_samples, gamma):
     z = [features(x + k * rng.standard_normal(n_samples), m, seed=seed + k)
          for k in range(n_s)]
     spectrum = solve_pencil(covariance_blocks(z, gamma=gamma))
-    assert abs(rgv(z, gamma=gamma) - (-0.5 * np.sum(np.log(spectrum.eigenvalues)))) < 1e-10
+    assert abs(rgv(z, gamma=gamma).value - (-0.5 * np.sum(np.log(spectrum.eigenvalues)))) < 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_s=st.sampled_from([2, 3]),
+       m=st.integers(2, 24), n_samples=st.integers(3, 200),
+       gamma=st.floats(1e-3, 1e-1))
+def test_rcc_cholesky_form_equals_pencil_spectrum(seed, n_s, m, n_samples, gamma):
+    # L^-1 (C + gamma I) L^-T and D^-1/2 (C + gamma I) D^-1/2 are similar
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n_samples)
+    z = [features(x + k * rng.standard_normal(n_samples), m, seed=seed + k)
+         for k in range(n_s)]
+    spectrum = solve_pencil(covariance_blocks(z, gamma=gamma))
+    assert abs(rcc(z, gamma=gamma).value - (-0.5 * np.log(spectrum.eigenvalues[-1]))) < 1e-10
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_s=st.sampled_from([2, 3, 4]),
+       gamma=st.floats(1e-3, 1e-1), contrast=st.sampled_from([rcc, rgv]))
+def test_feature_gradient_matches_central_differences(seed, n_s, gamma, contrast):
+    # the directional derivative along a random V of the stacked features
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(300)
+    z = [features(x + k * rng.standard_normal(300), 20, seed=seed + k) for k in range(n_s)]
+    grad = contrast(z, gamma=gamma).feature_gradient()
+    direction = [rng.standard_normal(block.shape) for block in z]
+    step = 1e-5
+
+    def along(h):
+        return contrast([block + h * v for block, v in zip(z, direction)], gamma=gamma).value
+
+    central = (along(step) - along(-step)) / (2.0 * step)
+    analytic = float(np.sum(grad * np.vstack(direction)))
+    assert abs(analytic - central) <= 1e-5 * abs(central) + 1e-8
 
 
 def test_independent_variables_small_rho_decreasing_in_n():
@@ -93,7 +128,7 @@ def test_independent_variables_small_rho_decreasing_in_n():
             rng = np.random.default_rng(100 + s)
             z = [features(rng.standard_normal(n), 50, seed=200 + s),
                  features(rng.standard_normal(n), 50, seed=300 + s)]
-            rhos.append(solve_pencil(covariance_blocks(z, gamma=0.02)).rho)
+            rhos.append(rho(solve_pencil(covariance_blocks(z, gamma=0.02))))
         return np.mean(rhos)
 
     small_n, large_n = mean_rho(500), mean_rho(4000)
@@ -106,7 +141,7 @@ def test_identical_variable_high_rho():
     x = rng.uniform(-np.sqrt(3), np.sqrt(3), 1000)
     z = features(x, 100, seed=77)
     spectrum = solve_pencil(covariance_blocks([z, z.copy()], gamma=1e-3))
-    assert spectrum.rho >= 0.95
+    assert rho(spectrum) >= 0.95
 
 
 def test_spectrum_positive_trace_and_symmetry_about_one():
@@ -164,9 +199,9 @@ def test_rho_matches_zero_diagonal_generalized_pencil():
     diag[m:, m:] = pencil.blocks[1, 1] + gamma * np.eye(m)
     eigs = scipy.linalg.eigh(zero_diag, diag, eigvals_only=True)
     rho_direct = float(np.max(eigs))
-    assert abs(spectrum.rho - rho_direct) < 1e-8
+    assert abs(rho(spectrum) - rho_direct) < 1e-8
     # and rcc equals -1/2 log(1 - rho) of that directly solved pencil
-    assert abs(rcc(z, gamma=gamma) - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8
+    assert abs(rcc(z, gamma=gamma).value - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8
 
 
 def test_rcc_independent_baseline():
@@ -174,13 +209,13 @@ def test_rcc_independent_baseline():
     half = np.sqrt(3)
     z = [features(rng.uniform(-half, half, 2000), 200, seed=1),
          features(rng.uniform(-half, half, 2000), 200, seed=2)]
-    assert rcc(z, gamma=0.02) <= 0.1
+    assert rcc(z, gamma=0.02).value <= 0.1
 
 
 def test_rcc_blows_up_for_identical_variable():
     rng = np.random.default_rng(4)
     z = features(rng.standard_normal(800), 100, seed=11)
-    assert rcc([z, z.copy()], gamma=1e-3) >= 1.0
+    assert rcc([z, z.copy()], gamma=1e-3).value >= 1.0
 
 
 def test_rgv_independent_baseline():
@@ -188,14 +223,14 @@ def test_rgv_independent_baseline():
     half = np.sqrt(3)
     z = [features(rng.uniform(-half, half, 2000), 200, seed=3),
          features(rng.uniform(-half, half, 2000), 200, seed=4)]
-    assert rgv(z, gamma=0.02) <= 0.2
+    assert rgv(z, gamma=0.02).value <= 0.2
 
 
 def test_rgv_dominates_rcc_under_perfect_dependence():
     rng = np.random.default_rng(4)
     z = features(rng.standard_normal(800), 100, seed=11)
     pair = [z, z.copy()]
-    assert rgv(pair, gamma=1e-3) >= rcc(pair, gamma=1e-3)
+    assert rgv(pair, gamma=1e-3).value >= rcc(pair, gamma=1e-3).value
 
 
 def test_contrasts_nonnegative():
@@ -204,20 +239,22 @@ def test_contrasts_nonnegative():
         x = rng.standard_normal(300)
         y = rng.standard_normal(300) if s % 2 else 0.3 * x + rng.standard_normal(300)
         z = [features(x, 30, seed=s), features(y, 30, seed=50 + s)]
-        assert rcc(z, gamma=0.01) >= -1e-9
-        assert rgv(z, gamma=0.01) >= -1e-9
+        assert rcc(z, gamma=0.01).value >= -1e-9
+        assert rgv(z, gamma=0.01).value >= -1e-9
 
 
-def test_permutation_invariance():
-    rng = np.random.default_rng(51)
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_permutation_invariance(seed):
+    rng = np.random.default_rng(seed)
     x = rng.standard_normal(500)
     y = 0.4 * x + rng.standard_normal(500)
     w = rng.standard_normal(500)
     z = [features(x, 20, seed=1), features(y, 20, seed=2), features(w, 20, seed=3)]
     for contrast in (rcc, rgv):
-        base = contrast(z, gamma=0.02)
-        assert abs(contrast([z[2], z[0], z[1]], gamma=0.02) - base) < 1e-9
-        assert abs(contrast([z[1], z[0], z[2]], gamma=0.02) - base) < 1e-9
+        base = contrast(z, gamma=0.02).value
+        assert abs(contrast([z[2], z[0], z[1]], gamma=0.02).value - base) < 1e-9
+        assert abs(contrast([z[1], z[0], z[2]], gamma=0.02).value - base) < 1e-9
 
 
 def test_rcc_nondecreasing_in_dependence():
@@ -228,7 +265,7 @@ def test_rcc_nondecreasing_in_dependence():
             a = rng.standard_normal(2000)
             b = alpha * a + np.sqrt(1 - alpha**2) * rng.standard_normal(2000)
             values.append(rcc([features(a, 100, seed=60 + s),
-                               features(b, 100, seed=70 + s)], gamma=0.02))
+                               features(b, 100, seed=70 + s)], gamma=0.02).value)
         return np.mean(values)
 
     v0, v5, v9 = mean_rcc(0.0), mean_rcc(0.5), mean_rcc(0.9)
@@ -285,13 +322,13 @@ def test_rcc_approaches_kcc_with_many_features():
     x = rng.standard_normal(n)
     y = 0.7 * x + 0.714 * rng.standard_normal(n)
     d1, d2 = Dataset(x[None, :]), Dataset(y[None, :])
-    target = kernel_pencil_spectrum([d1, d2], KERNEL, kappa=0.002).rho
+    target = rho(kernel_pencil_spectrum([d1, d2], KERNEL, kappa=0.002))
 
     def mean_gap(m):
         gaps = []
         for s in range(3):
             z = [features(x, m, seed=1000 + s), features(y, m, seed=5000 + s)]
-            gaps.append(abs(solve_pencil(covariance_blocks(z, gamma=0.002)).rho - target))
+            gaps.append(abs(rho(solve_pencil(covariance_blocks(z, gamma=0.002))) - target))
         return np.mean(gaps)
 
     assert mean_gap(400) < mean_gap(50)
@@ -310,7 +347,7 @@ def test_rgv_approaches_kgv_with_many_features():
         gaps = []
         for s in range(3):
             z = [features(x, m, seed=1000 + s), features(y, m, seed=5000 + s)]
-            gaps.append(abs(rgv(z, gamma=0.002) - target))
+            gaps.append(abs(rgv(z, gamma=0.002).value - target))
         return np.mean(gaps)
 
     assert mean_gap(400) < mean_gap(50)

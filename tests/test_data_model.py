@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rica.data_model import (Dataset, dataset_from_csv, dataset_to_csv, empirical_covariance,
-                             inject_outliers, mix, random_mixing_matrix, whiten)
+from helpers import empirical_covariance
+from rica.data_model import (Dataset, dataset_from_csv, dataset_to_csv, inject_outliers, mix,
+                             random_mixing_matrix, whiten)
 from rica.errors import CountTooLarge, DegenerateCovariance, DimensionMismatch, InvalidRange
 
 

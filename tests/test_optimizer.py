@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import NoProgress
 from rica.evaluation import amari_distance
-from rica.optimizer import (OptimizerConfig, descend, expm_skew, fastica_baseline,
+from rica.optimizer import (Objective, OptimizerConfig, descend, expm_skew, fastica_baseline,
                             finite_diff_gradient, make_objective, minimize_contrast,
                             plane_rotation)
 from rica.source_bank import sample_source, spec_by_label
@@ -125,12 +127,52 @@ def test_gradient_small_at_located_minimum():
 
 def test_descend_raises_no_progress_on_adversarial_kink():
     # finite differences point uphill at this kink, so no step can decrease f
-    def objective(q):
-        theta = np.arctan2(q[1, 0], q[0, 0])
-        return 2.0 * abs(theta) - 0.1 * theta
+    class Kink(Objective):
+        def __call__(self, q):
+            theta = np.arctan2(q[1, 0], q[0, 0])
+            return 2.0 * abs(theta) - 0.1 * theta
 
     with pytest.raises(NoProgress):
-        descend(objective, np.eye(2), tol=1e-8, max_iters=5)
+        descend(Kink(), np.eye(2), tol=1e-8, max_iters=5)
+
+
+def test_descend_stops_at_a_start_stationary_to_rounding():
+    # slopes of rounding size at an exact minimum are convergence, not NoProgress
+    class Bowl(Objective):
+        def __call__(self, q):
+            return np.arctan2(q[1, 0], q[0, 0]) ** 2
+
+        def slopes(self, q):
+            return np.array([1e-14])
+
+    q, value, iterations, _ = descend(Bowl(), np.eye(2), tol=1e-8, max_iters=5)
+    assert iterations == 0 and value == 0.0
+    np.testing.assert_array_equal(q, np.eye(2))
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
+       gamma=st.floats(1e-3, 1e-1), contrast=st.sampled_from(["rgv", "rcc"]))
+def test_slopes_match_finite_differences(seed, n, gamma, contrast):
+    rng = np.random.default_rng(seed)
+    data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (n, 400))))
+    q = expm_skew(random_skew(n, rng))
+    config = OptimizerConfig(seed=seed, contrast=contrast, m=32, gamma=gamma)
+    objective = make_objective(data, config)
+    objective(q)  # the slopes reuse this evaluation, as in `descend`
+    slopes = objective.slopes(q)
+    reference = finite_diff_gradient(q, data, config)
+    assert np.linalg.norm(slopes - reference) <= 1e-5 * np.linalg.norm(reference) + 1e-8
+
+
+def test_slopes_do_not_depend_on_the_last_evaluation():
+    data = whitened_uniform_pair(500, seed=3)
+    for contrast in ("rgv", "rcc"):
+        objective = make_objective(data, OptimizerConfig(seed=4, contrast=contrast, m=32))
+        objective(rotation(0.3))
+        reused = objective.slopes(rotation(0.3))
+        objective(rotation(1.1))
+        np.testing.assert_array_equal(objective.slopes(rotation(0.3)), reused)
 
 
 def test_minimize_contrast_uniform_pair_50_trials():
@@ -222,19 +264,27 @@ def test_fastica_two_gaussians_flagged_or_useless():
     assert (not result.converged) or arbitrary > 0.1
 
 
-def test_objective_invariant_under_component_sign_flips():
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_objective_invariant_under_component_sign_flips(seed):
     # the antithetic feature phases make this exact; it is why a fit may end
-    # anywhere on O(n), not only on SO(n)
-    rng = np.random.default_rng(36)
+    # anywhere on O(n), not only on SO(n). With f(DQ) = f(Q) for D = diag(d),
+    # D E_ij D = d_i d_j E_ij gives slopes_ij(DQ) = d_i d_j slopes_ij(Q).
+    rng = np.random.default_rng(seed)
     data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (3, 500))))
     q = expm_skew(random_skew(3, rng))
+    i, j = np.triu_indices(3, 1)
     for contrast in ("rgv", "rcc"):
         config = OptimizerConfig(seed=12, contrast=contrast, m=64)
         objective = make_objective(data, config)
         base = objective(q)
+        base_slopes = objective.slopes(q)
         for signs in ([-1, 1, 1], [1, -1, -1], [-1, -1, -1]):
-            flipped = objective(np.diag(signs) @ q)
+            d = np.array(signs, dtype=float)
+            flipped = objective(np.diag(d) @ q)
             assert abs(flipped - base) <= 1e-10
+            np.testing.assert_allclose(objective.slopes(np.diag(d) @ q),
+                                       d[i] * d[j] * base_slopes, rtol=0.0, atol=1e-10)
 
 
 def test_minimize_contrast_separates_three_sources():

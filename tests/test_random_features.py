@@ -5,7 +5,7 @@ from rica.data_model import Dataset
 from rica.errors import DimensionMismatch
 from rica.random_features import (FeatureMap, KernelSpec, apply_feature_map,
                                   approximation_error_bound, draw_feature_map,
-                                  empirical_approx_error, gram_matrix, operator_norm)
+                                  empirical_approx_error, gram_matrix, operator_norm, pull_back)
 
 
 def gaussian_kernel(x, y, sigma=1.0):
@@ -137,3 +137,24 @@ def test_empirical_error_decreases_with_m_on_average():
     small = np.mean([empirical_approx_error(kernel, data, 100, seed=s) for s in range(10)])
     large = np.mean([empirical_approx_error(kernel, data, 400, seed=s) for s in range(10)])
     assert large < small
+
+
+def test_pull_back_matches_central_differences():
+    # each sample's features depend on that sample only, so shifting one
+    # coordinate of every sample at once differentiates all columns together
+    rng = np.random.default_rng(12)
+    fmap = draw_feature_map(KernelSpec(sigma=0.8), m=16, d=2, seed=4)
+    x = rng.standard_normal((2, 30))
+    weights = rng.standard_normal((16, 30))
+    grad = pull_back(fmap, Dataset(x), weights)
+    step = 1e-6
+    for axis in range(2):
+        shift = np.zeros((2, 1))
+        shift[axis] = step
+        change = (apply_feature_map(fmap, Dataset(x + shift))
+                  - apply_feature_map(fmap, Dataset(x - shift)))
+        np.testing.assert_allclose(grad[axis], (weights * change).sum(axis=0) / (2 * step),
+                                   rtol=1e-6, atol=1e-8)
+    with pytest.raises(DimensionMismatch):
+        pull_back(fmap, Dataset(x[:1]), weights)
+
