@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rica import optimizer
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import NoProgress
-from rica.evaluation import amari_distance
+from rica.evaluation import BenchmarkConfig, amari_distance, run_benchmark
 from rica.optimizer import (Objective, OptimizerConfig, descend, expm_skew, fastica_baseline,
                             finite_diff_gradient, make_objective, minimize_contrast,
                             plane_rotation)
@@ -148,6 +149,97 @@ def test_descend_stops_at_a_start_stationary_to_rounding():
     q, value, iterations, _ = descend(Bowl(), np.eye(2), tol=1e-8, max_iters=5)
     assert iterations == 0 and value == 0.0
     np.testing.assert_array_equal(q, np.eye(2))
+
+
+def angle(q):
+    return float(np.arctan2(q[1, 0], q[0, 0]))
+
+
+class AngleObjective(Objective):
+    """f of the angle of a 2x2 rotation, with exact slopes df; records each angle evaluated."""
+
+    def __init__(self, f, df):
+        self.f, self.df, self.angles = f, df, []
+
+    def __call__(self, q):
+        self.angles.append(angle(q))
+        return self.f(self.angles[-1])
+
+    def slopes(self, q):
+        return np.array([self.df(angle(q))])
+
+
+def test_descend_second_search_tries_the_secant_step():
+    # f = a theta^2 with a > 1/2: the first search halves from 1, and the
+    # secant of the slopes 2 a theta is then the exact step 1 / (2 a) to 0.
+    # A trial step t from theta evaluates theta - t * 2 a theta.
+    a, theta0 = 3.0, 0.5
+    objective = AngleObjective(lambda th: a * th ** 2, lambda th: 2.0 * a * th)
+    q, _, _, trace = descend(objective, rotation(theta0), tol=1e-10, max_iters=10)
+    start, *first, theta1, second = objective.angles[:5]
+    assert start == pytest.approx(theta0, abs=1e-15)
+    steps = [(theta0 - th) / (2.0 * a * theta0) for th in [*first, theta1]]
+    np.testing.assert_allclose(steps, [1.0, 0.5, 0.25], rtol=1e-12)
+    assert (theta1 - second) / (2.0 * a * theta1) == pytest.approx(1.0 / (2.0 * a), rel=1e-9)
+    assert trace[1:3] == [a * theta1 ** 2, a * second ** 2]  # accepted at its one evaluation
+    assert abs(angle(q)) <= 1e-12
+
+
+def test_descend_falls_back_to_doubling_where_curvature_is_negative():
+    # f = -k theta^2 on |theta| <= 1, walled in beyond by a steep quadratic.
+    # From 0.4 the first search accepts t = 1/4 at 0.8, inside the concave
+    # stretch, where s'y < 0; the second search then starts from min(1, 2t).
+    k, wall = 2.0, 100.0
+
+    def f(th):
+        out = abs(th) - 1.0
+        return -k * th ** 2 if out <= 0.0 else -k - 2.0 * k * out + wall * out ** 2
+
+    def df(th):
+        out = abs(th) - 1.0
+        return -2.0 * k * th if out <= 0.0 else np.sign(th) * (-2.0 * k + 2.0 * wall * out)
+
+    objective = AngleObjective(f, df)
+    _, _, _, trace = descend(objective, rotation(0.4), tol=1e-10, max_iters=20)
+    theta1, second = objective.angles[3:5]
+    assert theta1 == pytest.approx(0.8, abs=1e-12) and trace[1] == f(theta1)
+    assert (theta1 - second) / df(theta1) == pytest.approx(0.5, rel=1e-9)
+    assert np.all(np.diff(trace) <= 0)
+
+
+class SearchCounter(Objective):
+    """Passes an objective through, counting the evaluations after each slopes call."""
+
+    def __init__(self, inner):
+        self.inner, self.searches = inner, []
+
+    def __call__(self, q):
+        if self.searches:
+            self.searches[-1] += 1
+        return self.inner(q)
+
+    def slopes(self, q):
+        self.searches.append(0)
+        return self.inner.slopes(q)
+
+
+def test_line_searches_after_the_first_mostly_take_one_evaluation(monkeypatch):
+    # criterion 5's first 20 RGV fits, counted rather than timed: starting each
+    # search after the first from the Barzilai-Borwein step, the trial step is
+    # nearly always accepted as it stands (halving from min(1, 2t) took 1.45)
+    later = []
+
+    def counting_descend(objective, start, tol, max_iters):
+        counter = SearchCounter(objective)
+        result = descend(counter, start, tol, max_iters)
+        later.extend(counter.searches[1:])
+        return result
+
+    monkeypatch.setattr(optimizer, "descend", counting_descend)
+    run_benchmark(BenchmarkConfig(labels=("c", "b"), N=1000, replicates=20,
+                                  methods=("RGV",), master_seed=101))
+    assert len(later) >= 20
+    assert np.mean(later) <= 1.2
 
 
 @settings(max_examples=20, deadline=None)
