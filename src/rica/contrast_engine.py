@@ -18,14 +18,19 @@ from the Cholesky-normalised pencil L^-1 C L^-T, with L the Cholesky factor
 of D; for two variables that is 1 - sigma_max(L_1^-1 C_12 L_2^-T), one m x m
 SVD. `solve_pencil` keeps the symmetric normalisation as the tested reference.
 
-rcc and rgv return a `ContrastEvaluation`: the value, plus its gradient with
-respect to the features from the same factorisation. Both contrasts vary as
-d value = -1/2 tr(M dC) for a symmetric M (Bach & Jordan 2002, Kernel ICA):
-M = C^-1 - D^-1 for rgv, and (x x^T - mu blockdiag(x_i x_i^T)) / mu for rcc,
-with x the generalised eigenvector of mu = mu_min (C x = mu D x) scaled to
-x^T D x = 1. With dC = (dZbar Zbar^T + Zbar dZbar^T) / N for the centred stack
-Zbar of the features, the gradient with respect to the stacked features is
--(1/N) M Zbar.
+rcc and rgv take a `CovariancePencil`, or a list of feature matrices that
+`covariance_blocks` turns into one, and return a `ContrastEvaluation`: the
+value, plus the M of its variation from the same factorisation. Both
+contrasts vary as d value = -1/2 tr(M dC) for a symmetric M (Bach & Jordan
+2002, Kernel ICA): M = C^-1 - D^-1 for rgv, and
+(x x^T - mu blockdiag(x_i x_i^T)) / mu for rcc, with x the generalised
+eigenvector of mu = mu_min (C x = mu D x) scaled to x^T D x = 1. With
+dC = (dZbar Zbar^T + Zbar dZbar^T) / N for the centred stack Zbar of the
+features, the gradient with respect to the stacked features is -(1/N) M Zbar.
+Where the covariance is T S T^T for a block-diagonal T, as in the trig
+basis of `random_features.TrigBasis`, the value varies as
+-1/2 tr(T^T M T dS): `ContrastEvaluation.weights` takes M into the basis
+S is taken in.
 Every contrast raises SingularDiagonal when the pencil is numerically singular.
 """
 
@@ -101,44 +106,36 @@ def covariance_blocks(feature_matrices: list[np.ndarray], gamma: float = DEFAULT
             raise SampleMismatch(f"feature counts differ: {z.shape[0]} vs {m}")
     if n_samples < 2:
         raise SampleMismatch("need at least two samples")
-    stacked = _centered_stack(feature_matrices)
+    stacked = np.vstack(feature_matrices)
+    stacked -= stacked.mean(axis=1, keepdims=True)
     return CovariancePencil(matrix=stacked @ stacked.T / n_samples, gamma=gamma, n_s=n_s, m=m)
 
 
-def _centered_stack(feature_matrices: list[np.ndarray]) -> np.ndarray:
-    stacked = np.vstack(feature_matrices)
-    stacked -= stacked.mean(axis=1, keepdims=True)
-    return stacked
+def _as_pencil(pencil: CovariancePencil | list[np.ndarray], gamma: float) -> CovariancePencil:
+    return pencil if isinstance(pencil, CovariancePencil) else covariance_blocks(pencil, gamma)
 
 
 class ContrastEvaluation:
-    """One rcc or rgv value, and what its gradient with respect to the features reuses.
+    """One rcc or rgv value, and the M of its variation d value = -1/2 tr(M dC).
 
-    It holds the feature matrices it was given (not copied) and the contrast's
-    factorisation. `feature_gradient()` consumes both, releasing each as soon
-    as it is used, so that forming the gradient takes no more memory than the
-    evaluation did; it can be taken once.
+    M is formed from the contrast's factorisation only when `weights` is
+    called.
     """
 
-    def __init__(self, value: float, feature_matrices: list[np.ndarray],
-                 weights: Callable[[], Callable[[np.ndarray], np.ndarray]]):
+    def __init__(self, value: float, weights: Callable[[Callable], Callable]):
         self.value = value
-        self._features = feature_matrices
-        self._weights = weights  # from the factorisation: () -> (Zbar -> M Zbar)
+        self._weights = weights  # contract -> ((a, i) -> block i of T^T M T a)
 
-    def feature_gradient(self) -> np.ndarray:
-        """d value / dZ for the (n_s m) x N stack Z of the feature matrices: -(1/N) M Zbar.
+    def weights(self, contract: Callable[[np.ndarray], np.ndarray] | None = None
+                ) -> Callable[[np.ndarray, int], np.ndarray]:
+        """(a, i) -> the rows of block i of (T^T M T) a, for an (n_s m, k) array a.
 
-        Each row of M Zbar sums to zero over the samples, so the gradient with
-        respect to the raw features equals that with respect to the centred ones.
+        `contract` applies T^T, for a block-diagonal T, in place to (n_s m, k)
+        arrays and returns its argument; by default T = I. For the centred
+        stack Zbar of the features, -(1/N) M Zbar is the gradient of the value
+        with respect to them.
         """
-        if self._weights is None:
-            raise RuntimeError("the feature gradient of this evaluation was already taken")
-        weights, self._weights = self._weights(), None
-        centered, self._features = _centered_stack(self._features), None
-        gradient = weights(centered)
-        gradient /= -gradient.shape[1]
-        return gradient
+        return self._weights(contract or (lambda a: a))
 
 
 def _normalized_matrix(normalized_off, n_s: int, dim: int) -> np.ndarray:
@@ -230,23 +227,24 @@ def _inverse_from_cholesky(factor: np.ndarray) -> np.ndarray:
     return inverse.T @ inverse
 
 
-def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray]):
-    """Zbar -> M Zbar for M = (C + gamma I)^-1 - blockdiag((C_ii + gamma I)^-1)."""
+def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray], contract):
+    """(a, i) -> block i of T^T M T a for M = (C + gamma I)^-1 - blockdiag((C_ii + gamma I)^-1)."""
     m = block_factors[0].shape[0]
     weights = _inverse_from_cholesky(factor)
     for i, block in enumerate(block_factors):
         weights[i * m:(i + 1) * m, i * m:(i + 1) * m] -= _inverse_from_cholesky(block)
-    return lambda centered: weights @ centered
+    contract(contract(weights).T)  # holds (T^T M T)^T = T^T M T, M being symmetric
+    return lambda a, i: weights[i * m:(i + 1) * m] @ a
 
 
-def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float):
-    """Zbar -> M Zbar for M = (x x^T - mu blockdiag(x_i x_i^T)) / mu, x the
-    generalised eigenvector of mu = mu_min.
+def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float, contract):
+    """(a, i) -> block i of T^T M T a for M = (x x^T - mu blockdiag(x_i x_i^T)) / mu,
+    x the generalised eigenvector of mu = mu_min.
 
     x = L^-T v for the unit eigenvector v of B = L^-1 (C + gamma I) L^-T, so
     x^T D x = 1. For two variables v = (p, -q) / sqrt(2), with (p, q) the top
-    singular pair of L_1^-1 C_12 L_2^-T. M has rank n_s at most, so M Zbar
-    is formed from the projections x_i^T Zbar_i without M.
+    singular pair of L_1^-1 C_12 L_2^-T. M has rank n_s at most, so M a is
+    formed from the projections x_i^T a_i without M, and T^T M T from T^T x.
     """
     n_s, m = len(inverses), inverses[0].shape[0]
     if n_s == 2:
@@ -254,18 +252,22 @@ def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float):
         vector = np.stack([left[:, 0], -right_t[0]]) / np.sqrt(2.0)
     else:
         vector = np.linalg.eigh(normalized)[1][:, 0].reshape(n_s, m)
-    x = np.stack([inverse.T @ v for inverse, v in zip(inverses, vector)])
+    x = np.concatenate([inverse.T @ v for inverse, v in zip(inverses, vector)])
+    x = contract(x[:, None]).reshape(n_s, m)
 
-    def weights(centered: np.ndarray) -> np.ndarray:
-        projections = np.einsum("if,ifk->ik", x, centered.reshape(n_s, m, -1))
-        residual = (projections.sum(axis=0) - mu * projections) / mu
-        return (x[:, :, None] * residual[:, None, :]).reshape(n_s * m, -1)
+    def weights(a: np.ndarray, i: int) -> np.ndarray:
+        projections = np.einsum("if,ifk->ik", x, a.reshape(n_s, m, -1))
+        return np.outer(x[i], (projections.sum(axis=0) - mu * projections[i]) / mu)
 
     return weights
 
 
-def rcc(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> ContrastEvaluation:
+def rcc(pencil: CovariancePencil | list[np.ndarray],
+        gamma: float = DEFAULT_GAMMA) -> ContrastEvaluation:
     """Randomized canonical correlation contrast: -1/2 log(mu_min).
+
+    A list of feature matrices is first turned into
+    `covariance_blocks(feature_matrices, gamma)`; a pencil brings its own gamma.
 
     mu_min is the smallest eigenvalue of L^-1 (C + gamma I) L^-T, where L is
     the Cholesky factor of D = blockdiag(C_ii + gamma I); for two variables it
@@ -277,10 +279,10 @@ def rcc(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> Con
         If gamma <= 0, a regularized diagonal block is not numerically
         positive definite, or mu_min is below EIGENVALUE_FLOOR.
     """
-    if gamma <= 0:
+    pencil = _as_pencil(pencil, gamma)
+    if pencil.gamma <= 0:
         raise SingularDiagonal("rcc requires gamma > 0; increase gamma")
-    pencil = covariance_blocks(feature_matrices, gamma)
-    blocks, regularizer = pencil.blocks, gamma * np.eye(pencil.m)
+    blocks, regularizer = pencil.blocks, pencil.gamma * np.eye(pencil.m)
     inverses = [_lower_inverse(_cholesky(blocks[i, i] + regularizer)) for i in range(pencil.n_s)]
     if pencil.n_s == 2:
         normalized = inverses[0] @ blocks[0, 1] @ inverses[1].T
@@ -290,15 +292,17 @@ def rcc(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> Con
                                         pencil.n_s, pencil.m)
         mu = np.linalg.eigvalsh(normalized)[0]
     value = _neg_half_log(np.array([mu]))
-    return ContrastEvaluation(value, feature_matrices,
-                              partial(_rcc_weights, normalized, inverses, float(mu)))
+    return ContrastEvaluation(value, partial(_rcc_weights, normalized, inverses, float(mu)))
 
 
-def rgv(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> ContrastEvaluation:
+def rgv(pencil: CovariancePencil | list[np.ndarray],
+        gamma: float = DEFAULT_GAMMA) -> ContrastEvaluation:
     """Randomized generalized variance contrast: -1/2 sum_k log(mu_k).
 
     Computed as 1/2 (sum_i log det(C_ii + gamma I) - log det(C + gamma I)),
     which equals the pencil form because det B = det(C + gamma I) / det D.
+    A list of feature matrices is first turned into
+    `covariance_blocks(feature_matrices, gamma)`; a pencil brings its own gamma.
 
     Raises
     ------
@@ -306,18 +310,22 @@ def rgv(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> Con
         If gamma <= 0 or a regularized matrix is not numerically positive
         definite, which signals that gamma is too small for the data.
     """
-    if gamma <= 0:
+    pencil = _as_pencil(pencil, gamma)
+    if pencil.gamma <= 0:
         raise SingularDiagonal("rgv requires gamma > 0; increase gamma")
-    pencil = covariance_blocks(feature_matrices, gamma)
-    m = pencil.m
-    regularized = pencil.matrix  # the pencil is local: regularize in place, saving a copy
-    regularized[np.diag_indices_from(regularized)] += gamma
-    block_factors = [_cholesky(regularized[i * m:(i + 1) * m, i * m:(i + 1) * m])
-                     for i in range(pencil.n_s)]
-    factor = _cholesky(regularized)
+    m, matrix = pencil.m, pencil.matrix
+    # Regularize in place, saving an (n_s m)^2 copy, and restore the diagonal.
+    diagonal = np.diag_indices_from(matrix)
+    raw_diagonal = matrix[diagonal]
+    matrix[diagonal] += pencil.gamma
+    try:
+        block_factors = [_cholesky(matrix[i * m:(i + 1) * m, i * m:(i + 1) * m])
+                         for i in range(pencil.n_s)]
+        factor = _cholesky(matrix)
+    finally:
+        matrix[diagonal] = raw_diagonal
     value = 0.5 * (sum(_log_det(block) for block in block_factors) - _log_det(factor))
-    return ContrastEvaluation(value, feature_matrices,
-                              partial(_rgv_weights, factor, block_factors))
+    return ContrastEvaluation(value, partial(_rgv_weights, factor, block_factors))
 
 
 def _centered_grams(datasets: list[Dataset], kernel: KernelSpec) -> list[np.ndarray]:

@@ -14,11 +14,16 @@ components (exactly so, with the antithetic feature phases of
 The slopes g_ij = d/dh f(exp(h E_ij) Q) at h = 0 come from the objective.
 For RCC and RGV they are closed-form (Edelman, Arias & Smith 1998): with
 Y = Q X and H = df/dY, df/dQ = H X^T and g_ij = A_ji - A_ij for
-A = (df/dQ) Q^T = H Y^T. H comes from the contrast's gradient with respect to
-the features, pulled back through the feature maps, and reuses the arrays of
-the evaluation at the same Q, which in `descend` is always the one just
-accepted. The kernel oracles take central differences, two evaluations per
-plane; `finite_diff_gradient` keeps them as the test oracle for every contrast.
+A = (df/dQ) Q^T = H Y^T. RCC and RGV work in the trig basis of their
+antithetic feature maps (`random_features.TrigBasis`): an evaluation takes
+cos(wY) and sin(wY) over the distinct frequencies, from one tangent pass,
+and never forms the features. H is the contrast's M, taken into that basis
+as T^T M T, applied to the centred cos/sin rows of the evaluation at the
+same Q (in `descend` always the one just accepted) and pulled back through
+d cos(wy)/dy = -w sin(wy) and d sin(wy)/dy = w cos(wy), so the slopes
+evaluate no trigonometric function. The kernel oracles take central
+differences, two evaluations per plane; `finite_diff_gradient` keeps them as
+the test oracle for every contrast.
 
 Each step length comes from an Armijo backtracking (halving) line search. After
 the first iteration it starts from the Barzilai-Borwein step (Barzilai &
@@ -35,11 +40,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA,
-                              kcc_oracle, kgv_oracle, rcc, rgv)
+                              CovariancePencil, kcc_oracle, kgv_oracle, rcc, rgv)
 from .data_model import Dataset, WhiteningTransform
 from .errors import NoProgress
-from .random_features import (FeatureMap, KernelSpec, apply_feature_map, draw_feature_map,
-                              pull_back)
+from .random_features import FeatureMap, KernelSpec, TrigBasis, draw_feature_map
 
 ARMIJO_C = 1e-4
 LINE_SEARCH_MAX_HALVINGS = 30
@@ -189,14 +193,20 @@ class _KernelObjective(Objective):
 class _FeatureObjective(Objective):
     """RCC or RGV of frozen per-component feature maps, with closed-form slopes.
 
-    It keeps the last evaluation (its q, components and `ContrastEvaluation`)
-    for the slopes at that q. The next evaluation drops it before allocating,
+    It works in the maps' trig basis (`TrigBasis`): an evaluation takes the
+    cosine and sine of every distinct frequency and sample from one tangent
+    pass, centres them in place and hands the contrast the feature covariance
+    T cov(U) T^T; the features themselves are never formed. It keeps the last evaluation (its
+    q, components, centred U with its row means, and `ContrastEvaluation`)
+    for the slopes at that q, which pull T^T M T U back through
+    d cos(wy)/dy = -w sin(wy) and d sin(wy)/dy = w cos(wy) and so evaluate no
+    cosine or sine. The next evaluation drops the kept one before allocating,
     and the slopes consume it, so at most one is alive.
     """
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):
         self.values = whitened.values
-        self.maps = draw_objective_maps(config, whitened.d)
+        self.basis = TrigBasis(draw_objective_maps(config, whitened.d))
         self.contrast = rcc if config.contrast == "rcc" else rgv
         self.gamma = config.gamma
         self.last = None
@@ -204,21 +214,27 @@ class _FeatureObjective(Objective):
     def __call__(self, q: np.ndarray) -> float:
         self.last = None
         rotated = q @ self.values
-        feats = [apply_feature_map(fmap, Dataset(rotated[i:i + 1]))
-                 for i, fmap in enumerate(self.maps)]
-        evaluation = self.contrast(feats, gamma=self.gamma)
-        self.last = (q.copy(), rotated, evaluation)
+        trig = self.basis.evaluate(rotated)
+        mean = trig.mean(axis=1)
+        trig -= mean[:, None]
+        covariance = trig @ trig.T
+        covariance /= trig.shape[1]
+        self.basis.expand(self.basis.expand(covariance).T)  # (T S T^T)^T = T S T^T in place
+        n = len(q)
+        evaluation = self.contrast(CovariancePencil(covariance, self.gamma, n, len(trig) // n))
+        self.last = (q.copy(), rotated, trig, mean, evaluation)
         return evaluation.value
 
     def slopes(self, q: np.ndarray) -> np.ndarray:
         if self.last is None or not np.array_equal(self.last[0], q):
             self(q)
-        _, rotated, evaluation = self.last
+        _, rotated, trig, mean, evaluation = self.last
         self.last = None
-        weights = evaluation.feature_gradient()
-        m = self.maps[0].m
-        grad = np.vstack([pull_back(fmap, Dataset(rotated[i:i + 1]), weights[i * m:(i + 1) * m])
-                          for i, fmap in enumerate(self.maps)])
+        weights = evaluation.weights(self.basis.contract)
+        del evaluation  # its factors, before the weights are applied
+        grad = np.stack([self.basis.pull_back(i, trig, mean, weights(trig, i))
+                         for i in range(len(q))])
+        grad /= -trig.shape[1]  # d value / dU = -(1/N) T^T M T Ubar
         a = grad @ rotated.T
         i, j = np.triu_indices(len(q), 1)
         return a[j, i] - a[i, j]

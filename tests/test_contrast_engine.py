@@ -67,6 +67,15 @@ def test_solve_pencil_requires_positive_gamma():
         solve_pencil(pencil)
 
 
+def test_contrasts_of_a_pencil_equal_those_of_its_features():
+    rng = np.random.default_rng(9)
+    z = [features(rng.standard_normal(200), 12, seed=s) for s in (1, 2, 3)]
+    pencil = covariance_blocks(z, gamma=0.01)
+    for contrast in (rcc, rgv):
+        assert contrast(pencil).value == contrast(z, gamma=0.01).value
+    np.testing.assert_array_equal(pencil.matrix, covariance_blocks(z, gamma=0.01).matrix)
+
+
 def test_rgv_requires_positive_gamma():
     z = [features(np.arange(5.0), 8, seed=1), features(np.arange(5.0), 8, seed=2)]
     with pytest.raises(SingularDiagonal):
@@ -109,7 +118,10 @@ def test_feature_gradient_matches_central_differences(seed, n_s, gamma, contrast
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(300)
     z = [features(x + k * rng.standard_normal(300), 20, seed=seed + k) for k in range(n_s)]
-    grad = contrast(z, gamma=gamma).feature_gradient()
+    centered = np.vstack(z)
+    centered -= centered.mean(axis=1, keepdims=True)
+    weights = contrast(z, gamma=gamma).weights()
+    grad = -np.vstack([weights(centered, i) for i in range(n_s)]) / centered.shape[1]
     direction = [rng.standard_normal(block.shape) for block in z]
     step = 1e-5
 

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rica import optimizer
+from rica.contrast_engine import rcc, rgv
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import NoProgress
 from rica.evaluation import BenchmarkConfig, amari_distance, run_benchmark
-from rica.optimizer import (Objective, OptimizerConfig, descend, expm_skew, fastica_baseline,
-                            finite_diff_gradient, make_objective, minimize_contrast,
-                            plane_rotation)
+from rica.optimizer import (FD_STEP, Objective, OptimizerConfig, descend, draw_objective_maps,
+                            expm_skew, fastica_baseline, finite_diff_gradient, make_objective,
+                            minimize_contrast, plane_rotation)
+from rica.random_features import apply_feature_map
 from rica.source_bank import sample_source, spec_by_label
 
 
@@ -245,7 +249,12 @@ def test_line_searches_after_the_first_mostly_take_one_evaluation(monkeypatch):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 4]),
        gamma=st.floats(1e-3, 1e-1), contrast=st.sampled_from(["rgv", "rcc"]))
+@example(seed=534, n=2, gamma=0.09375, contrast="rcc")
+@example(seed=760909, n=3, gamma=0.03125, contrast="rcc")
 def test_slopes_match_finite_differences(seed, n, gamma, contrast):
+    # The reference is the Richardson value (4 D(h/2) - D(h)) / 3 of the
+    # central differences D: at h = FD_STEP alone their truncation error
+    # reached 1.9e-5 of the slopes on the two pinned examples.
     rng = np.random.default_rng(seed)
     data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (n, 400))))
     q = expm_skew(random_skew(n, rng))
@@ -253,8 +262,89 @@ def test_slopes_match_finite_differences(seed, n, gamma, contrast):
     objective = make_objective(data, config)
     objective(q)  # the slopes reuse this evaluation, as in `descend`
     slopes = objective.slopes(q)
-    reference = finite_diff_gradient(q, data, config)
+    reference = (4.0 * finite_diff_gradient(q, data, config, step=FD_STEP / 2)
+                 - finite_diff_gradient(q, data, config, step=FD_STEP)) / 3.0
     assert np.linalg.norm(slopes - reference) <= 1e-5 * np.linalg.norm(reference) + 1e-8
+
+
+def feature_slopes(data, config, q):
+    """Value and slopes of the configured contrast taken through the features
+    themselves: -(1/N) M Zbar pulled back by d cos(wy + b)/dy = -w sin(wy + b)."""
+    rotated = q @ data.values
+    maps = draw_objective_maps(config, len(q))
+    feats = [apply_feature_map(fmap, Dataset(rotated[i:i + 1])) for i, fmap in enumerate(maps)]
+    evaluation = (rgv if config.contrast == "rgv" else rcc)(feats, gamma=config.gamma)
+    centered = np.vstack(feats)
+    centered -= centered.mean(axis=1, keepdims=True)
+    weights = evaluation.weights()
+    scale = np.sqrt(2.0 / maps[0].m) / rotated.shape[1]
+    grad = np.stack([
+        scale * (fmap.frequencies[:, 0] @ (np.sin(fmap.frequencies @ rotated[i:i + 1]
+                                                  + fmap.phases[:, None]) * weights(centered, i)))
+        for i, fmap in enumerate(maps)])
+    a = grad @ rotated.T
+    i, j = np.triu_indices(len(q), 1)
+    return evaluation.value, a[j, i] - a[i, j]
+
+
+@pytest.mark.parametrize("contrast", ["rgv", "rcc"])
+@pytest.mark.parametrize("m", [15, 16])  # draw_objective_maps rounds 15 up to 16
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_trig_basis_changes_no_value(n, m, contrast):
+    rng = np.random.default_rng(10 * n + m)
+    data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (n, 400))))
+    q = expm_skew(random_skew(n, rng))
+    config = OptimizerConfig(seed=n + m, contrast=contrast, m=m)
+    objective = make_objective(data, config)
+    value, slopes = objective(q), objective.slopes(q)
+    reference_value, reference_slopes = feature_slopes(data, config, q)
+    assert abs(value - reference_value) <= 1e-12 * abs(reference_value)
+    assert np.linalg.norm(slopes - reference_slopes) <= 1e-10 * np.linalg.norm(reference_slopes)
+
+
+def test_one_tangent_pass_per_evaluation_none_per_slopes(monkeypatch):
+    # one evaluation takes one tangent per distinct frequency and sample
+    # (n m N / 2 in all); the slopes at the evaluated q take none
+    n, n_samples, m = 3, 500, 40
+    evaluated = {"sin": 0, "cos": 0, "tan": 0}
+    for name in evaluated:
+        def counting(x, *args, _name=name, _original=getattr(np, name), **kwargs):
+            evaluated[_name] += np.size(x)
+            return _original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, name, counting)
+    rng = np.random.default_rng(2)
+    data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (n, n_samples))))
+    q = expm_skew(random_skew(n, rng))
+    for contrast in ("rgv", "rcc"):
+        objective = make_objective(data, OptimizerConfig(seed=1, contrast=contrast, m=m))
+        evaluated.update(sin=0, cos=0, tan=0)
+        objective(q)
+        assert evaluated == {"sin": 0, "cos": 0, "tan": n * m * n_samples // 2}
+        evaluated.update(tan=0)
+        objective.slopes(q)
+        assert evaluated == {"sin": 0, "cos": 0, "tan": 0}
+
+
+@pytest.mark.parametrize("contrast, n_samples, m, feature_path_peak", [
+    ("rgv", 1000, 200, 2.51), ("rcc", 1000, 200, 2.41), ("rgv", 2048, 100, 2.13)])
+def test_evaluation_and_slopes_peak_memory(contrast, n_samples, m, feature_path_peak):
+    # in units of F = n m N 8 bytes, the features' size; feature_path_peak is
+    # the peak, on these shapes, of the objective that formed the features and
+    # pulled back through them
+    n = 2
+    data = whitened_uniform_pair(n_samples, seed=12)
+    objective = make_objective(data, OptimizerConfig(seed=3, contrast=contrast, m=m))
+    q = rotation(0.3)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        objective(q)
+        objective.slopes(q)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * feature_path_peak * n * m * n_samples * 8
 
 
 def test_slopes_do_not_depend_on_the_last_evaluation():

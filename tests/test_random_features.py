@@ -3,9 +3,9 @@ import pytest
 
 from rica.data_model import Dataset
 from rica.errors import DimensionMismatch
-from rica.random_features import (FeatureMap, KernelSpec, apply_feature_map,
+from rica.random_features import (FeatureMap, KernelSpec, TrigBasis, apply_feature_map,
                                   approximation_error_bound, draw_feature_map,
-                                  empirical_approx_error, gram_matrix, operator_norm, pull_back)
+                                  empirical_approx_error, gram_matrix, operator_norm)
 
 
 def gaussian_kernel(x, y, sigma=1.0):
@@ -139,22 +139,52 @@ def test_empirical_error_decreases_with_m_on_average():
     assert large < small
 
 
+def antithetic_map(m_half, seed, sigma=0.8):
+    """A 1-D map whose row k + m_half pairs row k: (w, b) and (w, 2 pi - b)."""
+    base = draw_feature_map(KernelSpec(sigma=sigma), m=m_half, d=1, seed=seed)
+    return FeatureMap(frequencies=np.vstack([base.frequencies, base.frequencies]),
+                      phases=np.concatenate([base.phases, 2.0 * np.pi - base.phases]))
+
+
+def test_trig_basis_expands_to_the_features():
+    # Z = T U row for row, and contract is the transpose of expand
+    rng = np.random.default_rng(11)
+    maps = [antithetic_map(8, seed=s) for s in (1, 2, 3)]
+    basis = TrigBasis(maps)
+    y = 2.0 * rng.standard_normal((3, 40))
+    trig = basis.evaluate(y)
+    np.testing.assert_allclose(trig[:8], np.cos(np.outer(maps[0].frequencies[:8, 0], y[0])),
+                               rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(trig[8:16], np.sin(np.outer(maps[0].frequencies[:8, 0], y[0])),
+                               rtol=0.0, atol=1e-15)
+    features = np.vstack([apply_feature_map(fmap, Dataset(y[i:i + 1]))
+                          for i, fmap in enumerate(maps)])
+    np.testing.assert_allclose(basis.expand(trig.copy()), features, rtol=0.0, atol=1e-15)
+    a, b = rng.standard_normal((48, 5)), rng.standard_normal((48, 5))
+    assert (np.sum(basis.expand(a.copy()) * b)
+            == pytest.approx(np.sum(a * basis.contract(b.copy())), rel=1e-13))
+
+
+def test_trig_basis_rejects_maps_without_antithetic_pairs():
+    fmap = draw_feature_map(KernelSpec(sigma=1.0), m=8, d=1, seed=5)
+    with pytest.raises(ValueError):
+        TrigBasis([antithetic_map(4, seed=1), fmap])
+
+
 def test_pull_back_matches_central_differences():
     # each sample's features depend on that sample only, so shifting one
-    # coordinate of every sample at once differentiates all columns together
+    # component of every sample at once differentiates all columns together
     rng = np.random.default_rng(12)
-    fmap = draw_feature_map(KernelSpec(sigma=0.8), m=16, d=2, seed=4)
-    x = rng.standard_normal((2, 30))
-    weights = rng.standard_normal((16, 30))
-    grad = pull_back(fmap, Dataset(x), weights)
+    basis = TrigBasis([antithetic_map(8, seed=4), antithetic_map(8, seed=5)])
+    y = rng.standard_normal((2, 30))
+    weights = rng.standard_normal((32, 30))
+    trig = basis.evaluate(y)
+    mean = trig.mean(axis=1)
     step = 1e-6
-    for axis in range(2):
+    for i in range(2):
+        grad = basis.pull_back(i, trig - mean[:, None], mean, weights[16 * i:16 * (i + 1)].copy())
         shift = np.zeros((2, 1))
-        shift[axis] = step
-        change = (apply_feature_map(fmap, Dataset(x + shift))
-                  - apply_feature_map(fmap, Dataset(x - shift)))
-        np.testing.assert_allclose(grad[axis], (weights * change).sum(axis=0) / (2 * step),
+        shift[i] = step
+        change = basis.evaluate(y + shift) - basis.evaluate(y - shift)
+        np.testing.assert_allclose(grad, (weights * change).sum(axis=0) / (2 * step),
                                    rtol=1e-6, atol=1e-8)
-    with pytest.raises(DimensionMismatch):
-        pull_back(fmap, Dataset(x[:1]), weights)
-
