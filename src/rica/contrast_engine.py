@@ -27,10 +27,11 @@ contrasts vary as d value = -1/2 tr(M dC) for a symmetric M (Bach & Jordan
 eigenvector of mu = mu_min (C x = mu D x) scaled to x^T D x = 1. With
 dC = (dZbar Zbar^T + Zbar dZbar^T) / N for the centred stack Zbar of the
 features, the gradient with respect to the stacked features is -(1/N) M Zbar.
-Where the covariance is T S T^T for a block-diagonal T, as in the trig
-basis of `random_features.TrigBasis`, the value varies as
+Where the pencil is T S T^T for a block-diagonal T, as R S R^T in the
+Chebyshev basis of `random_features.ChebyshevBasis`, the value varies as
 -1/2 tr(T^T M T dS): `ContrastEvaluation.weights` takes M into the basis
-S is taken in.
+S is taken in. T may be rectangular, so its blocks of S may be larger or
+smaller than the pencil's.
 Every contrast raises SingularDiagonal when the pencil is numerically singular.
 """
 
@@ -68,7 +69,10 @@ class CovariancePencil:
 
     `matrix` is the (n_s m) x (n_s m) matrix (1/N) Zbar Zbar^T of the stacked,
     row-centered features Zbar; `blocks` views it with shape (n_s, n_s, m, m),
-    blocks[i, j] = (1/N) * sum_k zbar(x_i^k) zbar(x_j^k)^T.
+    blocks[i, j] = (1/N) * sum_k zbar(x_i^k) zbar(x_j^k)^T. Zbar may be the
+    features' coordinates in any orthonormal basis of their span, which
+    changes no contrast: the fit passes R Ubar of `random_features.ChebyshevBasis`,
+    min(m, d) rows per variable.
     """
 
     matrix: np.ndarray
@@ -128,10 +132,11 @@ class ContrastEvaluation:
 
     def weights(self, contract: Callable[[np.ndarray], np.ndarray] | None = None
                 ) -> Callable[[np.ndarray, int], np.ndarray]:
-        """(a, i) -> the rows of block i of (T^T M T) a, for an (n_s m, k) array a.
+        """(a, i) -> the rows of block i of (T^T M T) a, for an (n_s d, k) array a.
 
-        `contract` applies T^T, for a block-diagonal T, in place to (n_s m, k)
-        arrays and returns its argument; by default T = I. For the centred
+        `contract` returns T^T a, for a block-diagonal T of n_s blocks of
+        m x d, as a new (n_s d, k) array for an (n_s m, k) array a; by
+        default T = I and d = m. For the centred
         stack Zbar of the features, -(1/N) M Zbar is the gradient of the value
         with respect to them.
         """
@@ -233,8 +238,9 @@ def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray], contract):
     weights = _inverse_from_cholesky(factor)
     for i, block in enumerate(block_factors):
         weights[i * m:(i + 1) * m, i * m:(i + 1) * m] -= _inverse_from_cholesky(block)
-    contract(contract(weights).T)  # holds (T^T M T)^T = T^T M T, M being symmetric
-    return lambda a, i: weights[i * m:(i + 1) * m] @ a
+    weights = contract(contract(weights).T)  # (T^T M T)^T = T^T M T, M being symmetric
+    size = len(weights) // len(block_factors)
+    return lambda a, i: weights[i * size:(i + 1) * size] @ a
 
 
 def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float, contract):
@@ -253,10 +259,10 @@ def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float, 
     else:
         vector = np.linalg.eigh(normalized)[1][:, 0].reshape(n_s, m)
     x = np.concatenate([inverse.T @ v for inverse, v in zip(inverses, vector)])
-    x = contract(x[:, None]).reshape(n_s, m)
+    x = contract(x[:, None]).reshape(n_s, -1)
 
     def weights(a: np.ndarray, i: int) -> np.ndarray:
-        projections = np.einsum("if,ifk->ik", x, a.reshape(n_s, m, -1))
+        projections = np.einsum("if,ifk->ik", x, a.reshape(n_s, x.shape[1], -1))
         return np.outer(x[i], (projections.sum(axis=0) - mu * projections[i]) / mu)
 
     return weights

@@ -8,22 +8,26 @@ order) span the skew-symmetric tangent directions, exp(h E_ij) is the plane
 rotation by h, and a step is Q <- exp(-t sum_ij g_ij E_ij) Q. Every iterate
 stays orthogonal with the determinant of its start. That determinant does
 not matter: the contrasts are invariant under sign flips of the rotated
-components (exactly so, with the antithetic feature phases of
+components (to rounding, with the antithetic feature phases of
 `draw_objective_maps`), so Q and diag(+-1) Q are the same unmixing.
 
 The slopes g_ij = d/dh f(exp(h E_ij) Q) at h = 0 come from the objective.
 For RCC and RGV they are closed-form (Edelman, Arias & Smith 1998): with
 Y = Q X and H = df/dY, df/dQ = H X^T and g_ij = A_ji - A_ij for
-A = (df/dQ) Q^T = H Y^T. RCC and RGV work in the trig basis of their
-antithetic feature maps (`random_features.TrigBasis`): an evaluation takes
-cos(wY) and sin(wY) over the distinct frequencies, from one tangent pass,
-and never forms the features. H is the contrast's M, taken into that basis
-as T^T M T, applied to the centred cos/sin rows of the evaluation at the
-same Q (in `descend` always the one just accepted) and pulled back through
-d cos(wy)/dy = -w sin(wy) and d sin(wy)/dy = w cos(wy), so the slopes
-evaluate no trigonometric function. The kernel oracles take central
-differences, two evaluations per plane; `finite_diff_gradient` keeps them as
-the test oracle for every contrast.
+A = (df/dQ) Q^T = H Y^T. RCC and RGV work in a Chebyshev basis of their
+feature maps' span (`random_features.ChebyshevBasis`): every component of
+an orthogonal Q lies in [-rho, rho], rho the largest sample norm, where the
+m features of a component are a fixed m x d map of T_1..T_d(y / rho), d
+about 45 at the default sigma, to within 2^-52 of their amplitude. An
+evaluation forms those d rows by recurrence, with no trigonometric
+function, and hands the contrast a pencil of n min(m, d) rows in place of
+the features' n m, with the same value. H is the contrast's M, taken
+into that basis as R^T M R, applied to the centred rows of the evaluation at
+the same Q (in `descend` always the one just accepted) and pulled back
+through dT_k/dt = k U_(k-1)(t), so the slopes evaluate no trigonometric
+function either. The kernel oracles take central differences, two
+evaluations per plane; `finite_diff_gradient` keeps them as the test oracle
+for every contrast.
 
 Each step length comes from an Armijo backtracking (halving) line search. After
 the first iteration it starts from the Barzilai-Borwein step (Barzilai &
@@ -43,7 +47,7 @@ from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_S
                               CovariancePencil, kcc_oracle, kgv_oracle, rcc, rgv)
 from .data_model import Dataset, WhiteningTransform
 from .errors import NoProgress
-from .random_features import FeatureMap, KernelSpec, TrigBasis, draw_feature_map
+from .random_features import ChebyshevBasis, FeatureMap, KernelSpec, draw_feature_map
 
 ARMIJO_C = 1e-4
 LINE_SEARCH_MAX_HALVINGS = 30
@@ -193,20 +197,22 @@ class _KernelObjective(Objective):
 class _FeatureObjective(Objective):
     """RCC or RGV of frozen per-component feature maps, with closed-form slopes.
 
-    It works in the maps' trig basis (`TrigBasis`): an evaluation takes the
-    cosine and sine of every distinct frequency and sample from one tangent
-    pass, centres them in place and hands the contrast the feature covariance
-    T cov(U) T^T; the features themselves are never formed. It keeps the last evaluation (its
-    q, components, centred U with its row means, and `ContrastEvaluation`)
-    for the slopes at that q, which pull T^T M T U back through
-    d cos(wy)/dy = -w sin(wy) and d sin(wy)/dy = w cos(wy) and so evaluate no
-    cosine or sine. The next evaluation drops the kept one before allocating,
-    and the slopes consume it, so at most one is alive.
+    It works in a Chebyshev basis of the maps' span (`ChebyshevBasis`) on
+    [-rho, rho], rho the largest sample norm of the whitened data, which
+    bounds every component of an orthogonal rotation: an evaluation forms
+    T_1..T_d of the components over rho by recurrence, centres them in place
+    and hands the contrast the pencil R cov(U) R^T, n min(m, d) square; the
+    features themselves are never formed. It keeps the last evaluation (its q,
+    components, centred U and `ContrastEvaluation`) for the slopes at that q,
+    which pull R^T M R Ubar back through dT_k/dt = k U_(k-1)(t) and so
+    evaluate no cosine or sine. The next evaluation drops the kept one before
+    allocating, and the slopes consume it, so at most one is alive.
     """
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):
         self.values = whitened.values
-        self.basis = TrigBasis(draw_objective_maps(config, whitened.d))
+        radius = float(np.sqrt(np.max(np.einsum("ij,ij->j", self.values, self.values))))
+        self.basis = ChebyshevBasis(draw_objective_maps(config, whitened.d), radius)
         self.contrast = rcc if config.contrast == "rcc" else rgv
         self.gamma = config.gamma
         self.last = None
@@ -214,27 +220,27 @@ class _FeatureObjective(Objective):
     def __call__(self, q: np.ndarray) -> float:
         self.last = None
         rotated = q @ self.values
-        trig = self.basis.evaluate(rotated)
-        mean = trig.mean(axis=1)
-        trig -= mean[:, None]
-        covariance = trig @ trig.T
-        covariance /= trig.shape[1]
-        self.basis.expand(self.basis.expand(covariance).T)  # (T S T^T)^T = T S T^T in place
+        rows = self.basis.evaluate(rotated)
+        rows -= rows.mean(axis=1, keepdims=True)
+        covariance = rows @ rows.T
+        covariance /= rows.shape[1]
+        pencil = self.basis.compress(covariance)
         n = len(q)
-        evaluation = self.contrast(CovariancePencil(covariance, self.gamma, n, len(trig) // n))
-        self.last = (q.copy(), rotated, trig, mean, evaluation)
+        evaluation = self.contrast(CovariancePencil(pencil, self.gamma, n, len(pencil) // n))
+        self.last = (q.copy(), rotated, rows, evaluation)
         return evaluation.value
 
     def slopes(self, q: np.ndarray) -> np.ndarray:
         if self.last is None or not np.array_equal(self.last[0], q):
             self(q)
-        _, rotated, trig, mean, evaluation = self.last
+        _, rotated, rows, evaluation = self.last
         self.last = None
         weights = evaluation.weights(self.basis.contract)
         del evaluation  # its factors, before the weights are applied
-        grad = np.stack([self.basis.pull_back(i, trig, mean, weights(trig, i))
+        # W Ubar has zero row means, so the centring adds nothing to the slopes
+        grad = np.stack([self.basis.pull_back(rotated[i], weights(rows, i))
                          for i in range(len(q))])
-        grad /= -trig.shape[1]  # d value / dU = -(1/N) T^T M T Ubar
+        grad /= -rows.shape[1]  # d value / dU = -(1/N) R^T M R Ubar
         a = grad @ rotated.T
         i, j = np.triu_indices(len(q), 1)
         return a[j, i] - a[i, j]
@@ -245,7 +251,8 @@ def make_objective(whitened: Dataset, config: OptimizerConfig) -> Objective:
 
     RCC and RGV use feature maps drawn once from config.seed, so the function
     is deterministic, and have closed-form slopes; KCC and KGV are the exact
-    kernel oracles, with central-difference slopes.
+    kernel oracles, with central-difference slopes. RCC and RGV take q
+    orthogonal: a component beyond the largest sample norm raises ValueError.
     """
     _check_whitened(whitened.values)
     if config.contrast in KERNEL_CONTRASTS:

@@ -1,15 +1,16 @@
-"""Random Fourier feature maps, their cos/sin basis for antithetic 1-D maps,
+"""Random Fourier feature maps, a Chebyshev basis of the span of 1-D maps,
 the exact Gram-matrix oracle, and the expected operator-norm error bound for
 the approximation.
 
 Feature convention: z(x) = sqrt(2/m) * [cos(w_1^T x + b_1), ..., cos(w_m^T x + b_m)]
 with frequencies w_i drawn from the kernel's spectral density and phases b_i
 uniform on [0, 2*pi), which makes E<z(x), z(y)> = k(x, y) and E<z(x), z(x)> = 1.
-Where the phases come in antithetic pairs b and 2 pi - b at a shared
-frequency, the features of a pair are a fixed 2 x 2 map of cos(w^T x) and
-sin(w^T x), the paired form of random Fourier features (Rahimi & Recht 2007;
-Sutherland & Schneider 2015). `TrigBasis` works with those instead: half
-the frequencies, no phase shift, and a pull-back that evaluates no sine.
+On a bounded interval [-rho, rho] the m features of a 1-D map span only about
+d = e rho max|w| / 2 dimensions: the Chebyshev coefficients of cos(a t + b)
+are 2 J_k(a) times cos b or sin b, which fall below 2^-52 past such a d
+(Jacobi-Anger; Trefethen 2013). `ChebyshevBasis` works with T_1..T_d
+instead of the features: d rows in place of m, formed by a recurrence with
+no cosine, and a pull-back with no sine.
 """
 
 from __future__ import annotations
@@ -79,105 +80,123 @@ def apply_feature_map(fmap: FeatureMap, data: Dataset) -> np.ndarray:
     return np.sqrt(2.0 / fmap.m) * np.cos(fmap.frequencies @ data.values + fmap.phases[:, None])
 
 
-class TrigBasis:
-    """Antithetic 1-D feature maps, one per variable, in the basis of their distinct frequencies.
+def chebyshev_degree(bandwidth: float) -> int:
+    """Degree of the Chebyshev interpolant of cos(a t + b) on [-1, 1], a = bandwidth >= 0.
 
-    Each map's rows come in pairs: row k + m/2 repeats the frequency w of row
-    k with the phase 2 pi - b for its b (as `draw_objective_maps` in
-    `rica.optimizer` draws them). The pair's features are
-    sqrt(2/m) cos(w y +- b) = sqrt(2/m) (cos b cos wy -+ sin b sin wy), a fixed
-    2 x 2 map of (cos wy, sin wy). So the stacked features of n variables are
-    Z = T U, with U the stack of the m x N blocks [cos(w y_i); sin(w y_i)]
-    over the m/2 distinct frequencies and T block diagonal, and their
-    covariance is T cov(U) T^T. `evaluate` forms U from one tangent per
-    frequency and sample; `expand` and `contract` apply T and T^T.
+    The Chebyshev coefficients of cos(a t + b) are 2 J_k(a) times cos b or
+    sin b (Jacobi-Anger), and |J_k(a)| <= (a/2)^k / k! (Trefethen 2013,
+    Approximation Theory and Approximation Practice). The degree is the
+    smallest d >= 1 with d + 1 > a, past which that bound decreases, and
+    2 (a/2)^(d+1) / (d+1)! <= 2^-52.
+    """
+    degree, bound = 1, bandwidth * bandwidth / 4.0  # 2 (a/2)^2 / 2!
+    while degree + 1 <= bandwidth or bound > 2.0**-52:
+        degree += 1
+        bound *= bandwidth / (2.0 * (degree + 1))
+    return degree
+
+
+def chebyshev_coefficients(fmap: FeatureMap, radius: float, degree: int) -> np.ndarray:
+    """(m, degree + 1) coefficients c with z_k(radius t) ~ sum_j c_kj T_j(t) on [-1, 1].
+
+    z is the 1-D map's features, interpolated at the degree + 1 Chebyshev
+    points t_j = cos(theta_j), theta_j = (2 j + 1) pi / (2 (degree + 1)),
+    through the discrete orthogonality of the matrix cos(k theta_j). That
+    takes (degree + 1) (degree + 1 + m) cosines. k theta_j is reduced modulo
+    2 pi in integers first: rounding theta_j before multiplying by k would
+    move the high-degree entries by up to k units in the last place.
+    """
+    turns = np.outer(np.arange(degree + 1), 2 * np.arange(degree + 1) + 1) % (4 * (degree + 1))
+    cosines = np.cos(turns * (np.pi / (2 * (degree + 1))))  # T_k(t_j); row 1 holds t_j
+    values = apply_feature_map(fmap, Dataset(radius * cosines[1:2]))
+    coefficients = values @ cosines.T
+    coefficients *= 2.0 / (degree + 1)
+    coefficients[:, 0] *= 0.5
+    return coefficients
+
+
+def _chebyshev_rows(t: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
+    """P_1(t), ..., P_count(t) of the recurrence P_0 = 1, P_1 = first,
+    P_(k+1) = 2 t P_k - P_(k-1), on a new axis before the last: T_k for
+    first = t, U_k (the second kind) for first = 2 t."""
+    rows = np.empty(t.shape[:-1] + (count, t.shape[-1]))
+    rows[..., 0, :] = first
+    two_t = 2.0 * t
+    previous = 1.0
+    for k in range(1, count):
+        current = rows[..., k, :]
+        np.multiply(two_t, rows[..., k - 1, :], out=current)
+        current -= previous
+        previous = rows[..., k - 1, :]
+    return rows
+
+
+class ChebyshevBasis:
+    """1-D feature maps, one per variable, in a Chebyshev basis of their span on [-radius, radius].
+
+    Map i's features are z_i(y) = C_i [T_0, ..., T_d](y / radius) to within
+    2^-52 of their amplitude, with C_i from `chebyshev_coefficients` and d
+    from `chebyshev_degree` at the largest radius * |w|. Centring removes
+    T_0, so the centred features are C'_i Ubar_i, C'_i the other d columns
+    and Ubar_i the centred rows T_1..T_d(y_i / radius). With C'_i = Q_i R_i,
+    Q_i orthonormal, their covariance is Q (R S R^T) Q^T for S = cov(U), and
+    every contrast of R S R^T + gamma I equals that of the features: the
+    pencil only loses eigenvalues gamma, whose log-dets cancel in RGV, and
+    normalised eigenvalues 1, which are never below RCC's smallest. R_i is
+    min(m, d) x d. `evaluate` forms U by the three-term recurrence, with no
+    sine or cosine, `compress` takes S to R S R^T, `contract` applies R^T,
+    and `pull_back` differentiates through dT_k/dt = k U_(k-1)(t).
     """
 
-    def __init__(self, maps: list[FeatureMap]):
-        half = maps[0].m // 2
-        for fmap in maps:
-            if (fmap.d != 1 or fmap.m != 2 * half
-                    or not np.array_equal(fmap.frequencies[half:], fmap.frequencies[:half])
-                    or not np.array_equal(fmap.phases[half:], 2.0 * np.pi - fmap.phases[:half])):
-                raise ValueError("TrigBasis needs 1-D maps of equal even size whose rows "
-                                 "pair (w, b) with (w, 2 pi - b)")
-        self.frequencies = np.stack([fmap.frequencies[:half, 0] for fmap in maps])  # (n, m/2)
-        phases = np.stack([fmap.phases[:half] for fmap in maps])
-        scale = np.sqrt(2.0 / (2 * half))
-        self._cos = scale * np.cos(phases)[:, :, None]
-        self._sin = scale * np.sin(phases)[:, :, None]
+    def __init__(self, maps: list[FeatureMap], radius: float):
+        m = maps[0].m
+        if any(fmap.d != 1 or fmap.m != m for fmap in maps):
+            raise ValueError("ChebyshevBasis needs 1-D maps of equal size")
+        if not radius > 0.0:
+            raise ValueError(f"radius must be positive, got {radius}")
+        self.radius = radius
+        bandwidth = radius * max(np.abs(fmap.frequencies).max() for fmap in maps)
+        self.degree = chebyshev_degree(bandwidth)
+        # R_i, stacked (n, min(m, d), d); centring removes the constant column
+        self.factors = np.stack([
+            np.linalg.qr(chebyshev_coefficients(fmap, radius, self.degree)[:, 1:], mode="r")
+            for fmap in maps])
 
     def evaluate(self, components: np.ndarray) -> np.ndarray:
-        """U for the rows y_i of an (n, N) array: an (n m, N) stack of
-        [cos(w y_i); sin(w y_i)] blocks, row k of each half at the k-th frequency.
+        """U for the rows y_i of an (n, N) array: the (n d, N) stack of T_1..T_d(y_i / radius).
 
-        Both come from one tangent per frequency and sample, t = tan(wy / 2):
-        cos wy = 2 / (1 + t^2) - 1 and sin wy = 2 t / (1 + t^2), within a few
-        units in the last place of numpy's cosine and sine. That is one
-        transcendental pass where those would be two, and on x86-64 with
-        AVX-512 numpy's float64 tangent is vectorised where its sine and
-        cosine are not: there, all passes counted, this took 1.2 ms against
-        4.4 ms for 2 x 100 x 1000 elements of each.
+        Raises ValueError where a component leaves [-radius, radius] by more
+        than rounding, where the interpolant would extrapolate.
         """
-        n, half = self.frequencies.shape
-        trig = np.empty((n, 2, half, components.shape[1]))
-        for i in range(n):
-            cos_rows, sin_rows = trig[i]
-            np.multiply.outer(0.5 * self.frequencies[i], components[i], out=sin_rows)
-            np.tan(sin_rows, out=sin_rows)
-            np.multiply(sin_rows, sin_rows, out=cos_rows)
-            cos_rows += 1.0
-            sin_rows /= cos_rows
-            sin_rows *= 2.0
-            np.divide(2.0, cos_rows, out=cos_rows)
-            cos_rows -= 1.0
-        return trig.reshape(2 * n * half, -1)
+        t = components / self.radius
+        if np.abs(t).max() > 1.0 + 1e-12:
+            raise ValueError(f"components reach {np.abs(t).max():.6g} times the basis radius "
+                             f"{self.radius:.6g}; the rotation must be orthogonal")
+        return _chebyshev_rows(t, t, self.degree).reshape(-1, t.shape[-1])
 
-    def _pairs(self, a: np.ndarray) -> np.ndarray:
-        """An (n m, k) stack viewed as (n, 2, m/2, k): the two rows of each pair.
-
-        Splitting the first axis never copies, so writes to the view reach a,
-        also where a is a transpose.
-        """
-        return a.reshape(len(self.frequencies), 2, self.frequencies.shape[1], -1)
-
-    def expand(self, a: np.ndarray) -> np.ndarray:
-        """T a, in place, for an (n m, k) array a in the trig basis: its image
-        among the features."""
-        pairs = self._pairs(a)
-        sin_part = self._sin * pairs[:, 1]
-        pairs[:, 0] *= self._cos
-        np.add(pairs[:, 0], sin_part, out=pairs[:, 1])
-        pairs[:, 0] -= sin_part
-        return a
+    def compress(self, covariance: np.ndarray) -> np.ndarray:
+        """R S R^T for an (n d, n d) matrix S over U."""
+        n, rank, degree = self.factors.shape
+        blocks = covariance.reshape(n, degree, n, degree).swapaxes(1, 2)
+        pencil = self.factors[:, None] @ blocks @ self.factors[None].swapaxes(2, 3)
+        return pencil.swapaxes(1, 2).reshape(n * rank, n * rank)
 
     def contract(self, a: np.ndarray) -> np.ndarray:
-        """T^T a, in place, for an (n m, k) array a over the features."""
-        pairs = self._pairs(a)
-        total = pairs[:, 0] + pairs[:, 1]
-        pairs[:, 1] -= pairs[:, 0]
-        pairs[:, 1] *= self._sin
-        np.multiply(total, self._cos, out=pairs[:, 0])
-        return a
+        """R^T a, for an (n min(m, d), k) array a: a new (n d, k) array."""
+        n, rank, degree = self.factors.shape
+        return (self.factors.swapaxes(1, 2) @ a.reshape(n, rank, -1)).reshape(n * degree, -1)
 
-    def pull_back(self, i: int, centered: np.ndarray, mean: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-        """d/dy_i of sum over rows and samples of weights * U_i: an (N,) array.
+    def pull_back(self, component: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """d/dy of sum over rows and samples of weights * T_1..T_d(y / radius): an (N,) array.
 
-        `centered` and `mean` are U with its rows centred and their means;
-        `weights` is (m, N) and is overwritten. With d cos(wy)/dy = -w sin(wy)
-        and d sin(wy)/dy = w cos(wy), no cosine or sine is evaluated.
+        `component` is one (N,) row y and `weights` is (d, N). With
+        dT_k/dt = k U_(k-1)(t), no sine or cosine is evaluated.
         """
-        half = self.frequencies.shape[1]
-        rows = slice(2 * i * half, 2 * (i + 1) * half)
-        cos_rows, sin_rows = centered[rows][:half], centered[rows][half:]
-        cos_mean, sin_mean = mean[rows][:half], mean[rows][half:]
-        freqs = self.frequencies[i]
-        cos_weights, sin_weights = weights[:half], weights[half:]
-        slope = (freqs * cos_mean) @ sin_weights - (freqs * sin_mean) @ cos_weights
-        sin_weights *= cos_rows
-        cos_weights *= sin_rows
-        slope += freqs @ sin_weights - freqs @ cos_weights
+        t = component / self.radius
+        second_kind = _chebyshev_rows(t, 2.0 * t, self.degree)[:-1]  # U_1..U_(d-1)
+        second_kind *= np.arange(2.0, self.degree + 1)[:, None]
+        slope = weights[0] + np.einsum("kn,kn->n", second_kind, weights[1:])  # U_0 = 1
+        slope /= self.radius
         return slope
 
 

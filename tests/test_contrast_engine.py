@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import rho
-from rica.contrast_engine import (KERNEL_ORACLE_LIMIT, covariance_blocks, kcc_oracle,
-                                  kernel_pencil_spectrum, kgv_oracle, rcc, rgv, solve_pencil)
+from rica.contrast_engine import (KERNEL_ORACLE_LIMIT, CovariancePencil, covariance_blocks,
+                                  kcc_oracle, kernel_pencil_spectrum, kgv_oracle, rcc, rgv,
+                                  solve_pencil)
 from rica.data_model import Dataset
 from rica.errors import OracleSizeExceeded, SampleMismatch, SingularDiagonal
-from rica.random_features import KernelSpec, apply_feature_map, draw_feature_map
+from rica.random_features import (ChebyshevBasis, KernelSpec, apply_feature_map,
+                                  chebyshev_coefficients, draw_feature_map)
 
 KERNEL = KernelSpec(sigma=1.0)
 
@@ -74,6 +76,34 @@ def test_contrasts_of_a_pencil_equal_those_of_its_features():
     for contrast in (rcc, rgv):
         assert contrast(pencil).value == contrast(z, gamma=0.01).value
     np.testing.assert_array_equal(pencil.matrix, covariance_blocks(z, gamma=0.01).matrix)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_s=st.sampled_from([2, 3]),
+       shape=st.sampled_from([(64, 2.0), (16, 0.5)]), gamma=st.floats(1e-3, 1e-1))
+def test_contrasts_of_the_chebyshev_pencil_equal_those_of_the_features(seed, n_s, shape, gamma):
+    # the centred features are T Ubar for T = blockdiag(C'_i), C'_i = Q_i R_i
+    # the coefficients of map i in T_1..T_d: T S T^T and R S R^T differ only
+    # by eigenvalues gamma and normalised eigenvalues 1. (m, sigma) = (64, 2)
+    # gives d < m, (16, 0.5) gives d > m
+    m, sigma = shape
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(300)
+    y = np.stack([x + k * rng.standard_normal(300) for k in range(n_s)])
+    radius = float(np.sqrt((y * y).sum(axis=0).max()))
+    maps = [draw_feature_map(KernelSpec(sigma=sigma), m=m, d=1, seed=seed + k) for k in range(n_s)]
+    basis = ChebyshevBasis(maps, radius)
+    assert (basis.degree < m) == (m == 64)
+    rows = basis.evaluate(y)
+    rows -= rows.mean(axis=1, keepdims=True)
+    covariance = rows @ rows.T / rows.shape[1]
+    expand = scipy.linalg.block_diag(*[chebyshev_coefficients(fmap, radius, basis.degree)[:, 1:]
+                                       for fmap in maps])
+    for contrast in (rcc, rgv):
+        compressed = contrast(CovariancePencil(basis.compress(covariance), gamma, n_s,
+                                               basis.factors.shape[1])).value
+        full = contrast(CovariancePencil(expand @ covariance @ expand.T, gamma, n_s, m)).value
+        assert abs(compressed - full) <= 1e-12
 
 
 def test_rgv_requires_positive_gamma():

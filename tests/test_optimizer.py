@@ -291,6 +291,8 @@ def feature_slopes(data, config, q):
 @pytest.mark.parametrize("m", [15, 16])  # draw_objective_maps rounds 15 up to 16
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_trig_basis_changes_no_value(n, m, contrast):
+    # the objective's Chebyshev basis against the features' own cosines; at
+    # these m its degree exceeds m
     rng = np.random.default_rng(10 * n + m)
     data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (n, 400))))
     q = expm_skew(random_skew(n, rng))
@@ -302,9 +304,11 @@ def test_trig_basis_changes_no_value(n, m, contrast):
     assert np.linalg.norm(slopes - reference_slopes) <= 1e-10 * np.linalg.norm(reference_slopes)
 
 
-def test_one_tangent_pass_per_evaluation_none_per_slopes(monkeypatch):
-    # one evaluation takes one tangent per distinct frequency and sample
-    # (n m N / 2 in all); the slopes at the evaluated q take none
+def test_cosines_only_at_construction_none_per_evaluation_or_slopes(monkeypatch):
+    # the objective's construction interpolates each component's m features at
+    # d + 1 Chebyshev points, through the matrix cos(k theta_j): (d + 1)(d + 1 + m)
+    # cosines per component; an evaluation and the slopes at the evaluated q
+    # take no sine, cosine or tangent
     n, n_samples, m = 3, 500, 40
     evaluated = {"sin": 0, "cos": 0, "tan": 0}
     for name in evaluated:
@@ -317,13 +321,25 @@ def test_one_tangent_pass_per_evaluation_none_per_slopes(monkeypatch):
     data, _ = whiten(Dataset(rng.uniform(-1.0, 1.0, (n, n_samples))))
     q = expm_skew(random_skew(n, rng))
     for contrast in ("rgv", "rcc"):
-        objective = make_objective(data, OptimizerConfig(seed=1, contrast=contrast, m=m))
         evaluated.update(sin=0, cos=0, tan=0)
+        objective = make_objective(data, OptimizerConfig(seed=1, contrast=contrast, m=m))
+        d = objective.basis.degree
+        assert evaluated == {"sin": 0, "cos": n * (d + 1) * (d + 1 + m), "tan": 0}
+        evaluated.update(cos=0)
         objective(q)
-        assert evaluated == {"sin": 0, "cos": 0, "tan": n * m * n_samples // 2}
-        evaluated.update(tan=0)
+        assert evaluated == {"sin": 0, "cos": 0, "tan": 0}
         objective.slopes(q)
         assert evaluated == {"sin": 0, "cos": 0, "tan": 0}
+
+
+def test_objective_rejects_a_rotation_that_leaves_the_basis_radius():
+    # the interpolant holds on [-rho, rho], rho the largest sample norm, which
+    # bounds every component of an orthogonal q but not of 1.5 I
+    data = whitened_uniform_pair(500, seed=3)
+    for contrast in ("rgv", "rcc"):
+        objective = make_objective(data, OptimizerConfig(seed=4, contrast=contrast, m=32))
+        with pytest.raises(ValueError):
+            objective(1.5 * np.eye(2))
 
 
 @pytest.mark.parametrize("contrast, n_samples, m, feature_path_peak", [

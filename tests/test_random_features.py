@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rica.data_model import Dataset
 from rica.errors import DimensionMismatch
-from rica.random_features import (FeatureMap, KernelSpec, TrigBasis, apply_feature_map,
-                                  approximation_error_bound, draw_feature_map,
-                                  empirical_approx_error, gram_matrix, operator_norm)
+from rica.random_features import (ChebyshevBasis, FeatureMap, KernelSpec, apply_feature_map,
+                                  approximation_error_bound, chebyshev_coefficients,
+                                  chebyshev_degree, draw_feature_map, empirical_approx_error,
+                                  gram_matrix, operator_norm)
 
 
 def gaussian_kernel(x, y, sigma=1.0):
@@ -146,43 +151,100 @@ def antithetic_map(m_half, seed, sigma=0.8):
                       phases=np.concatenate([base.phases, 2.0 * np.pi - base.phases]))
 
 
-def test_trig_basis_expands_to_the_features():
-    # Z = T U row for row, and contract is the transpose of expand
+def rounding_bound(fmap, radius):
+    """What the interpolant's error may reach: 1e-14, plus four times the
+    rounding of the features' own argument, a unit in the last place of
+    |w y| <= radius max|w| scaled by their amplitude sqrt(2/m). Interpolation
+    passes the rounding of its node values on, multiplied by its Lebesgue
+    constant (about 4 at the degrees here)."""
+    bandwidth = radius * np.abs(fmap.frequencies).max()
+    return 1e-14 + 4.0 * np.finfo(float).eps * bandwidth * np.sqrt(2.0 / fmap.m)
+
+
+def interpolant(basis, fmap, rows):
+    """sum_k c_k T_k over the rows T_1..T_d of one component, with T_0 = 1."""
+    coefficients = chebyshev_coefficients(fmap, basis.radius, basis.degree)
+    return coefficients[:, :1] + coefficients[:, 1:] @ rows
+
+
+def test_chebyshev_basis_expands_to_the_features():
+    # the rows are T_1..T_d(y / radius); with the interpolation coefficients C
+    # they give the features, R^T R = C'^T C' for C' = C without its constant
+    # column, and compress and contract apply R on both sides and R^T
     rng = np.random.default_rng(11)
     maps = [antithetic_map(8, seed=s) for s in (1, 2, 3)]
-    basis = TrigBasis(maps)
     y = 2.0 * rng.standard_normal((3, 40))
-    trig = basis.evaluate(y)
-    np.testing.assert_allclose(trig[:8], np.cos(np.outer(maps[0].frequencies[:8, 0], y[0])),
-                               rtol=0.0, atol=1e-15)
-    np.testing.assert_allclose(trig[8:16], np.sin(np.outer(maps[0].frequencies[:8, 0], y[0])),
-                               rtol=0.0, atol=1e-15)
-    features = np.vstack([apply_feature_map(fmap, Dataset(y[i:i + 1]))
-                          for i, fmap in enumerate(maps)])
-    np.testing.assert_allclose(basis.expand(trig.copy()), features, rtol=0.0, atol=1e-15)
-    a, b = rng.standard_normal((48, 5)), rng.standard_normal((48, 5))
-    assert (np.sum(basis.expand(a.copy()) * b)
-            == pytest.approx(np.sum(a * basis.contract(b.copy())), rel=1e-13))
+    radius = float(np.sqrt((y * y).sum(axis=0).max()))
+    basis = ChebyshevBasis(maps, radius)
+    d = basis.degree
+    rows = basis.evaluate(y).reshape(3, d, 40)
+    angles = np.arccos(y[0] / radius)
+    np.testing.assert_allclose(rows[0], np.cos(np.outer(np.arange(1, d + 1), angles)),
+                               rtol=0.0, atol=1e-13)
+    for i, fmap in enumerate(maps):
+        np.testing.assert_allclose(interpolant(basis, fmap, rows[i]),
+                                   apply_feature_map(fmap, Dataset(y[i:i + 1])),
+                                   rtol=0.0, atol=rounding_bound(fmap, radius))
+        coefficients = chebyshev_coefficients(fmap, radius, d)[:, 1:]
+        np.testing.assert_allclose(basis.factors[i].T @ basis.factors[i],
+                                   coefficients.T @ coefficients, rtol=0.0, atol=1e-13)
+    a = rng.standard_normal((3 * basis.factors.shape[1], 5))
+    s = rng.standard_normal((3 * d, 3 * d))
+    s += s.T
+    contracted = basis.contract(a)
+    np.testing.assert_allclose(a.T @ basis.compress(s) @ a, contracted.T @ s @ contracted,
+                               rtol=1e-13, atol=0.0)
 
 
-def test_trig_basis_rejects_maps_without_antithetic_pairs():
-    fmap = draw_feature_map(KernelSpec(sigma=1.0), m=8, d=1, seed=5)
+def test_chebyshev_basis_rejects_maps_of_unequal_size():
     with pytest.raises(ValueError):
-        TrigBasis([antithetic_map(4, seed=1), fmap])
+        ChebyshevBasis([antithetic_map(4, seed=1), antithetic_map(5, seed=2)], radius=3.0)
+    with pytest.raises(ValueError):
+        two_dimensional = draw_feature_map(KernelSpec(sigma=1.0), m=8, d=2, seed=5)
+        ChebyshevBasis([two_dimensional, two_dimensional], radius=3.0)
+
+
+def test_chebyshev_basis_rejects_components_beyond_its_radius():
+    basis = ChebyshevBasis([antithetic_map(4, seed=1), antithetic_map(4, seed=2)], radius=2.0)
+    basis.evaluate(np.array([[2.0, -2.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError):
+        basis.evaluate(np.array([[2.0 * (1 + 1e-11), 0.0], [0.0, 1.0]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.5, 1.0, 2.0]),
+       radius=st.floats(0.5, 30.0), m=st.sampled_from([16, 200]))
+def test_degree_rule_interpolant_matches_the_features(seed, sigma, radius, m):
+    # on a grid that includes both ends of [-radius, radius]
+    fmap = draw_feature_map(KernelSpec(sigma=sigma), m=m, d=1, seed=seed)
+    basis = ChebyshevBasis([fmap], radius)
+    y = radius * np.linspace(-1.0, 1.0, 401)[None]
+    error = interpolant(basis, fmap, basis.evaluate(y)) - apply_feature_map(fmap, Dataset(y))
+    assert np.abs(error).max() <= rounding_bound(fmap, radius)
+
+
+def test_chebyshev_degree_rule():
+    # the smallest d >= 1 with d + 1 > a and 2 (a/2)^(d+1) / (d+1)! <= 2^-52
+    assert chebyshev_degree(0.0) == 1
+    for bandwidth in (0.3, 1.0, 7.5, 20.0, 60.0):
+        degree = chebyshev_degree(bandwidth)
+        tail = [2.0 * np.exp((k + 1) * np.log(bandwidth / 2.0) - math.lgamma(k + 2))
+                for k in (degree - 1, degree)]
+        assert degree + 1 > bandwidth and tail[1] <= 2.0**-52
+        assert degree == 1 or degree <= bandwidth or tail[0] > 2.0**-52
 
 
 def test_pull_back_matches_central_differences():
-    # each sample's features depend on that sample only, so shifting one
+    # each sample's rows depend on that sample only, so shifting one
     # component of every sample at once differentiates all columns together
     rng = np.random.default_rng(12)
-    basis = TrigBasis([antithetic_map(8, seed=4), antithetic_map(8, seed=5)])
+    basis = ChebyshevBasis([antithetic_map(8, seed=4), antithetic_map(8, seed=5)], radius=4.0)
+    d = basis.degree
     y = rng.standard_normal((2, 30))
-    weights = rng.standard_normal((32, 30))
-    trig = basis.evaluate(y)
-    mean = trig.mean(axis=1)
+    weights = rng.standard_normal((2 * d, 30))
     step = 1e-6
     for i in range(2):
-        grad = basis.pull_back(i, trig - mean[:, None], mean, weights[16 * i:16 * (i + 1)].copy())
+        grad = basis.pull_back(y[i], weights[d * i:d * (i + 1)])
         shift = np.zeros((2, 1))
         shift[i] = step
         change = basis.evaluate(y + shift) - basis.evaluate(y - shift)
