@@ -257,7 +257,8 @@ def build_parser() -> _Parser:
     _bench_flags(p, reps=50, out="outliers.csv")
 
     p = add("scaling", _cmd_scaling, "contrast-evaluation runtime scaling")
-    p.add_argument("--plan", type=_plan_arg, default="rgv:1000+2000+4000+8000,kgv:250+500+1000",
+    p.add_argument("--plan", type=_plan_arg,
+                   default="rgv:4000+8000+16000+32000+64000,kgv:250+500+1000",
                    help=f"method:N+N+... pairs, comma separated; methods: {','.join(CONTRASTS)}")
     p.add_argument("--reps", type=int, default=5)
     p.add_argument("--out", default="scaling.csv")

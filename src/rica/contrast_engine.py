@@ -126,19 +126,17 @@ class ContrastEvaluation:
     called.
     """
 
-    def __init__(self, value: float, weights: Callable[[Callable], Callable]):
+    def __init__(self, value: float, weights: Callable[[Callable], np.ndarray]):
         self.value = value
-        self._weights = weights  # contract -> ((a, i) -> block i of T^T M T a)
+        self._weights = weights  # contract -> T^T M T
 
-    def weights(self, contract: Callable[[np.ndarray], np.ndarray] | None = None
-                ) -> Callable[[np.ndarray, int], np.ndarray]:
-        """(a, i) -> the rows of block i of (T^T M T) a, for an (n_s d, k) array a.
+    def weights(self, contract: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
+        """T^T M T, an (n_s d, n_s d) array.
 
         `contract` returns T^T a, for a block-diagonal T of n_s blocks of
         m x d, as a new (n_s d, k) array for an (n_s m, k) array a; by
-        default T = I and d = m. For the centred
-        stack Zbar of the features, -(1/N) M Zbar is the gradient of the value
-        with respect to them.
+        default T = I and d = m. For the centred stack Zbar of the features,
+        -(1/N) M Zbar is the gradient of the value with respect to them.
         """
         return self._weights(contract or (lambda a: a))
 
@@ -232,25 +230,31 @@ def _inverse_from_cholesky(factor: np.ndarray) -> np.ndarray:
     return inverse.T @ inverse
 
 
-def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray], contract):
-    """(a, i) -> block i of T^T M T a for M = (C + gamma I)^-1 - blockdiag((C_ii + gamma I)^-1)."""
+def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray], contract) -> np.ndarray:
+    """T^T M T for M = (C + gamma I)^-1 - blockdiag((C_ii + gamma I)^-1).
+
+    The leading block of the Cholesky factor L of C + gamma I is that of
+    C_11 + gamma I, so the leading block of L^-1 gives its inverse, and only
+    the other n_s - 1 block factors are inverted.
+    """
     m = block_factors[0].shape[0]
-    weights = _inverse_from_cholesky(factor)
-    for i, block in enumerate(block_factors):
+    inverse = _lower_inverse(factor)
+    weights = inverse.T @ inverse
+    weights[:m, :m] -= inverse[:m, :m].T @ inverse[:m, :m]
+    for i, block in enumerate(block_factors[1:], 1):
         weights[i * m:(i + 1) * m, i * m:(i + 1) * m] -= _inverse_from_cholesky(block)
-    weights = contract(contract(weights).T)  # (T^T M T)^T = T^T M T, M being symmetric
-    size = len(weights) // len(block_factors)
-    return lambda a, i: weights[i * size:(i + 1) * size] @ a
+    return contract(contract(weights).T)  # (T^T M T)^T = T^T M T, M being symmetric
 
 
-def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float, contract):
-    """(a, i) -> block i of T^T M T a for M = (x x^T - mu blockdiag(x_i x_i^T)) / mu,
-    x the generalised eigenvector of mu = mu_min.
+def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float,
+                 contract) -> np.ndarray:
+    """T^T M T for M = (x x^T - mu blockdiag(x_i x_i^T)) / mu, x the generalised
+    eigenvector of mu = mu_min.
 
     x = L^-T v for the unit eigenvector v of B = L^-1 (C + gamma I) L^-T, so
     x^T D x = 1. For two variables v = (p, -q) / sqrt(2), with (p, q) the top
-    singular pair of L_1^-1 C_12 L_2^-T. M has rank n_s at most, so M a is
-    formed from the projections x_i^T a_i without M, and T^T M T from T^T x.
+    singular pair of L_1^-1 C_12 L_2^-T. T^T M T has rank n_s at most and is
+    formed from T^T x.
     """
     n_s, m = len(inverses), inverses[0].shape[0]
     if n_s == 2:
@@ -259,12 +263,12 @@ def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float, 
     else:
         vector = np.linalg.eigh(normalized)[1][:, 0].reshape(n_s, m)
     x = np.concatenate([inverse.T @ v for inverse, v in zip(inverses, vector)])
-    x = contract(x[:, None]).reshape(n_s, -1)
-
-    def weights(a: np.ndarray, i: int) -> np.ndarray:
-        projections = np.einsum("if,ifk->ik", x, a.reshape(n_s, x.shape[1], -1))
-        return np.outer(x[i], (projections.sum(axis=0) - mu * projections[i]) / mu)
-
+    x = contract(x[:, None])[:, 0]
+    weights = np.outer(x, x / mu)
+    size = len(x) // n_s
+    for i in range(n_s):
+        block = slice(i * size, (i + 1) * size)
+        weights[block, block] -= np.outer(x[block], x[block])
     return weights
 
 

@@ -198,13 +198,16 @@ def _time_contrast_evaluation(method: str, n_samples: int, config: BenchmarkConf
 
     The objective is the one `minimize_contrast` descends for `method`, built
     by `make_objective` from `fit_config` on whitened draws of two uniform
-    sources, and evaluated at the identity rotation.
+    sources, and evaluated at the identity rotation. One untimed evaluation
+    comes first: without it the first size timed read up to twice its steady
+    time (KGV at N=250 on a 2-CPU box), which moved the fitted exponent.
     """
     rng = np.random.default_rng(seed)
     sources = Dataset(rng.uniform(-np.sqrt(3), np.sqrt(3), (2, n_samples)))
     whitened, _ = whiten(sources)
     objective = make_objective(whitened, fit_config(config, method, seed))
     identity = np.eye(2)
+    objective(identity)
     times = []
     for _ in range(repetitions):
         t0 = time.perf_counter()

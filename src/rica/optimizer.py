@@ -12,22 +12,25 @@ components (to rounding, with the antithetic feature phases of
 `draw_objective_maps`), so Q and diag(+-1) Q are the same unmixing.
 
 The slopes g_ij = d/dh f(exp(h E_ij) Q) at h = 0 come from the objective.
-For RCC and RGV they are closed-form (Edelman, Arias & Smith 1998): with
-Y = Q X and H = df/dY, df/dQ = H X^T and g_ij = A_ji - A_ij for
-A = (df/dQ) Q^T = H Y^T. RCC and RGV work in a Chebyshev basis of their
-feature maps' span (`random_features.ChebyshevBasis`): every component of
-an orthogonal Q lies in [-rho, rho], rho the largest sample norm, where the
-m features of a component are a fixed m x d map of T_1..T_d(y / rho), d
-about 45 at the default sigma, to within 2^-52 of their amplitude. An
-evaluation forms those d rows by recurrence, with no trigonometric
-function, and hands the contrast a pencil of n min(m, d) rows in place of
-the features' n m, with the same value. H is the contrast's M, taken
-into that basis as R^T M R, applied to the centred rows of the evaluation at
-the same Q (in `descend` always the one just accepted) and pulled back
-through dT_k/dt = k U_(k-1)(t), so the slopes evaluate no trigonometric
-function either. The kernel oracles take central differences, two
-evaluations per plane; `finite_diff_gradient` keeps them as the test oracle
-for every contrast.
+RCC and RGV work in a Chebyshev basis of their feature maps' span
+(`random_features.ChebyshevBasis`): every component of an orthogonal Q lies
+in [-rho, rho], rho the largest sample norm, where the m features of a
+component are a fixed m x d map of T_1..T_d(y / rho), d about 45 at the
+default sigma, to within 2^-52 of their amplitude. An evaluation forms those
+d rows by recurrence, with no trigonometric function, and hands the contrast
+a pencil of n min(m, d) rows in place of the features' n m, with the same
+value. Their slopes are closed-form: the value varies as -1/2 tr(W dS) for
+the Gram S of the centred rows and W = R^T M R, the contrast's M taken into
+the basis (Bach & Jordan 2002), and moving Q along E_ij moves t_i = y_i / rho
+by -t_j dh and t_j by t_i dh (Edelman, Arias & Smith 1998), so
+g_ij = G_ij - G_ji with G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik].
+`ChebyshevBasis.derivative_moments` takes G from the evaluation at the same
+Q (in `descend` always the one just accepted): at n = 2 from its S and row
+means and products of its rows with n + n^2 vectors over the samples, with
+no new array of d rows; at n >= 3 the other components add a pass of
+(n - 1) d^2 N per component. The kernel oracles
+take central differences, two evaluations per plane; `finite_diff_gradient`
+keeps them as the test oracle for every contrast.
 
 Each step length comes from an Armijo backtracking (halving) line search. After
 the first iteration it starts from the Barzilai-Borwein step (Barzilai &
@@ -203,10 +206,11 @@ class _FeatureObjective(Objective):
     T_1..T_d of the components over rho by recurrence, centres them in place
     and hands the contrast the pencil R cov(U) R^T, n min(m, d) square; the
     features themselves are never formed. It keeps the last evaluation (its q,
-    components, centred U and `ContrastEvaluation`) for the slopes at that q,
-    which pull R^T M R Ubar back through dT_k/dt = k U_(k-1)(t) and so
-    evaluate no cosine or sine. The next evaluation drops the kept one before
-    allocating, and the slopes consume it, so at most one is alive.
+    components, centred U, U's row means and Gram, and `ContrastEvaluation`)
+    for the slopes at that q, which take R^T M R and those moments to
+    `ChebyshevBasis.derivative_moments` and evaluate no cosine or sine. The
+    next evaluation drops the kept one before allocating, and the slopes
+    consume it, so at most one is alive.
     """
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):
@@ -221,29 +225,25 @@ class _FeatureObjective(Objective):
         self.last = None
         rotated = q @ self.values
         rows = self.basis.evaluate(rotated)
-        rows -= rows.mean(axis=1, keepdims=True)
+        means = rows.mean(axis=1)
+        rows -= means[:, None]
         covariance = rows @ rows.T
         covariance /= rows.shape[1]
         pencil = self.basis.compress(covariance)
         n = len(q)
         evaluation = self.contrast(CovariancePencil(pencil, self.gamma, n, len(pencil) // n))
-        self.last = (q.copy(), rotated, rows, evaluation)
+        self.last = (q.copy(), rotated, rows, means, covariance, evaluation)
         return evaluation.value
 
     def slopes(self, q: np.ndarray) -> np.ndarray:
         if self.last is None or not np.array_equal(self.last[0], q):
             self(q)
-        _, rotated, rows, evaluation = self.last
+        _, rotated, rows, means, covariance, evaluation = self.last
         self.last = None
         weights = evaluation.weights(self.basis.contract)
-        del evaluation  # its factors, before the weights are applied
-        # W Ubar has zero row means, so the centring adds nothing to the slopes
-        grad = np.stack([self.basis.pull_back(rotated[i], weights(rows, i))
-                         for i in range(len(q))])
-        grad /= -rows.shape[1]  # d value / dU = -(1/N) R^T M R Ubar
-        a = grad @ rotated.T
+        g = self.basis.derivative_moments(rotated, rows, means, covariance, weights)
         i, j = np.triu_indices(len(q), 1)
-        return a[j, i] - a[i, j]
+        return g[i, j] - g[j, i]
 
 
 def make_objective(whitened: Dataset, config: OptimizerConfig) -> Objective:

@@ -10,7 +10,8 @@ d = e rho max|w| / 2 dimensions: the Chebyshev coefficients of cos(a t + b)
 are 2 J_k(a) times cos b or sin b, which fall below 2^-52 past such a d
 (Jacobi-Anger; Trefethen 2013). `ChebyshevBasis` works with T_1..T_d
 instead of the features: d rows in place of m, formed by a recurrence with
-no cosine, and a pull-back with no sine.
+no cosine, and the moments of their derivatives taken from those of the
+rows, with no sine.
 """
 
 from __future__ import annotations
@@ -115,20 +116,16 @@ def chebyshev_coefficients(fmap: FeatureMap, radius: float, degree: int) -> np.n
     return coefficients
 
 
-def _chebyshev_rows(t: np.ndarray, first: np.ndarray, count: int) -> np.ndarray:
-    """P_1(t), ..., P_count(t) of the recurrence P_0 = 1, P_1 = first,
-    P_(k+1) = 2 t P_k - P_(k-1), on a new axis before the last: T_k for
-    first = t, U_k (the second kind) for first = 2 t."""
-    rows = np.empty(t.shape[:-1] + (count, t.shape[-1]))
-    rows[..., 0, :] = first
-    two_t = 2.0 * t
-    previous = 1.0
-    for k in range(1, count):
-        current = rows[..., k, :]
-        np.multiply(two_t, rows[..., k - 1, :], out=current)
-        current -= previous
-        previous = rows[..., k - 1, :]
-    return rows
+def chebyshev_derivative(degree: int) -> np.ndarray:
+    """(degree, degree) D with T_k'(t) = sum_a D[k - 1, a] T_a(t), k = 1..degree, a = 0..degree - 1.
+
+    D[k - 1, a] = 2 k for a < k with k - a odd, halved at a = 0 (Trefethen 2013, ch. 3).
+    """
+    k = np.arange(1, degree + 1)[:, None]
+    a = np.arange(degree)[None]
+    derivative = np.where((a < k) & ((k - a) % 2 == 1), 2.0 * k, 0.0)
+    derivative[:, 0] *= 0.5
+    return derivative
 
 
 class ChebyshevBasis:
@@ -145,7 +142,9 @@ class ChebyshevBasis:
     normalised eigenvalues 1, which are never below RCC's smallest. R_i is
     min(m, d) x d. `evaluate` forms U by the three-term recurrence, with no
     sine or cosine, `compress` takes S to R S R^T, `contract` applies R^T,
-    and `pull_back` differentiates through dT_k/dt = k U_(k-1)(t).
+    and `derivative_moments` takes the moments of U's derivatives that a
+    rotation's slopes need from S and U's means, through T_k' = sum_a D_ka T_a
+    (`chebyshev_derivative`) and T_a T_l = (T_(a+l) + T_|a-l|) / 2.
     """
 
     def __init__(self, maps: list[FeatureMap], radius: float):
@@ -161,6 +160,10 @@ class ChebyshevBasis:
         self.factors = np.stack([
             np.linalg.qr(chebyshev_coefficients(fmap, radius, self.degree)[:, 1:], mode="r")
             for fmap in maps])
+        self.derivative = chebyshev_derivative(self.degree)
+        # a + l and |a - l| for a = 0..d-1, l = 1..d: the indices of T_a T_l's two terms
+        a, l = np.ogrid[:self.degree, 1:self.degree + 1]
+        self._sums, self._differences = a + l, np.abs(a - l)
 
     def evaluate(self, components: np.ndarray) -> np.ndarray:
         """U for the rows y_i of an (n, N) array: the (n d, N) stack of T_1..T_d(y_i / radius).
@@ -172,7 +175,16 @@ class ChebyshevBasis:
         if np.abs(t).max() > 1.0 + 1e-12:
             raise ValueError(f"components reach {np.abs(t).max():.6g} times the basis radius "
                              f"{self.radius:.6g}; the rotation must be orthogonal")
-        return _chebyshev_rows(t, t, self.degree).reshape(-1, t.shape[-1])
+        rows = np.empty((len(t), self.degree, t.shape[-1]))
+        rows[:, 0] = t
+        two_t = 2.0 * t
+        previous = 1.0
+        for k in range(1, self.degree):
+            current = rows[:, k]
+            np.multiply(two_t, rows[:, k - 1], out=current)
+            current -= previous
+            previous = rows[:, k - 1]
+        return rows.reshape(-1, t.shape[-1])
 
     def compress(self, covariance: np.ndarray) -> np.ndarray:
         """R S R^T for an (n d, n d) matrix S over U."""
@@ -186,18 +198,78 @@ class ChebyshevBasis:
         n, rank, degree = self.factors.shape
         return (self.factors.swapaxes(1, 2) @ a.reshape(n, rank, -1)).reshape(n * degree, -1)
 
-    def pull_back(self, component: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """d/dy of sum over rows and samples of weights * T_1..T_d(y / radius): an (N,) array.
+    def derivative_moments(self, components: np.ndarray, rows: np.ndarray, means: np.ndarray,
+                           covariance: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(n, n) G with G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik] off the diagonal, t = y / radius.
 
-        `component` is one (N,) row y and `weights` is (d, N). With
-        dT_k/dt = k U_(k-1)(t), no sine or cosine is evaluated.
+        `components` is the (n, N) array of the rows y_i, `rows` the centred
+        Ubar of `evaluate` (n d, N), `means` U's row means (n d,),
+        `covariance` S = Ubar Ubar^T / N and `weights` an (n d, n d) array W
+        of d x d blocks W_ic. E is the mean over the N samples, and the
+        diagonal, which no plane's slope uses, is 0. G_ij is
+        sum_c <D^T W_ic, X_c> with X_c[a, l] = E[T_a(t_i) t_j Ubar_cl]. For
+        c = j and c = i the products t_j T_l(t_j) and T_a(t_i) T_l(t_i)
+        reduce X_c to the pair moments P_ab = E[T_a(t_i) T_b(t_j)], which are
+        S_ij + mu_i mu_j^T bordered by T_0 = 1, and to E[T_a(t_i) t_j T_d(t_j)]
+        and E[T_a(t_i) T_d(t_i) t_j], products of the rows with n + n^2
+        vectors over the samples. A third component c, at n >= 3, needs the
+        rows themselves: one pass of (n - 1) d^2 N per i applies D^T W_ic to
+        every c != i, and the partner term, which that pass repeats, is
+        taken back out.
         """
-        t = component / self.radius
-        second_kind = _chebyshev_rows(t, 2.0 * t, self.degree)[:-1]  # U_1..U_(d-1)
-        second_kind *= np.arange(2.0, self.degree + 1)[:, None]
-        slope = weights[0] + np.einsum("kn,kn->n", second_kind, weights[1:])  # U_0 = 1
-        slope /= self.radius
-        return slope
+        n, size = components.shape
+        d = self.degree
+        rows, means = rows.reshape(n, d, size), means.reshape(n, d)
+        scale = 1.0 / (size * self.radius)  # E[t_j v] = scale * sum over samples of y_j v
+        dw_rows = self.derivative.T @ weights.reshape(n, d, n * d)  # [i] = D^T [W_i1 .. W_in]
+        dw = dw_rows.reshape(n, d, n, d).swapaxes(1, 2)  # [i, c] = D^T W_ic
+        pair = np.empty((n, n, d + 1, d + 2))  # [i, j, a, b] = P_ab, a = 0..d, b = 0..d+1
+        pair[..., 0, 0] = 1.0
+        pair[..., 0, 1:-1] = means
+        pair[..., 1:, 0] = means[:, None]
+        pair[..., 1:, 1:-1] = covariance.reshape(n, d, n, d).swapaxes(1, 2)
+        pair[..., 1:, 1:-1] += means[:, None, :, None] * means[None, :, None]
+        top = rows[:, -1] + means[:, -1:]  # T_d(t_i)
+        # sums over the samples of Ubar_ia t_j T_d(t_j) and of Ubar_ia T_d(t_i) t_j, [i, a, j]
+        partner_top = (rows.reshape(n * d, size) @ (components * top).T).reshape(n, d, n)
+        own_top = np.matmul(rows, (top[:, None] * components[None]).swapaxes(1, 2))
+        # their means: E[t_j T_d(t_j)] = P_1d of the pair (j, j) and E[T_d(t_i) t_j] = P_d1
+        partner_top_mean = pair[np.arange(n), np.arange(n), 1, d]
+        own_top_mean = pair[..., d, 1]
+        # T_(d+1) = 2 t T_d - T_(d-1), in the pair's last column
+        pair[..., 0, -1] = 2.0 * partner_top_mean
+        pair[..., 1:, -1] = 2.0 * (scale * partner_top.swapaxes(1, 2)
+                                   + means[:, None] * partner_top_mean[:, None])
+        pair[..., -1] -= pair[..., d - 1]
+        partner = 0.5 * (pair[..., :d, 2:] + pair[..., :d, :d])
+        partner -= pair[..., :d, 1, None] * means[None, :, None]
+        partner_terms = np.einsum("ijal,ijal->ij", dw, partner)
+        # q_c = E[T_c(t_i) t_j], c = 0..2d-1, with T_(d+a) = 2 T_d T_a - T_(d-a)
+        q = np.empty((n, n, 2 * d))
+        q[..., :d + 1] = pair[..., 1]
+        q[..., d + 1:] = 2.0 * (scale * own_top.swapaxes(1, 2)[..., :d - 1]
+                                + means[:, None, :d - 1] * own_top_mean[..., None])
+        q[..., d + 1:] -= q[..., d - 1:0:-1]
+        # <D^T W_ii, (q_(a+l) + q_|a-l|) / 2 - q_a mu_il>, with the sums of D^T W_ii
+        # over the entries of equal a + l and of equal |a - l| taken first
+        own = dw[np.arange(n), np.arange(n)]
+        diagonal_sums = np.stack([np.bincount(self._sums.ravel(), block.ravel(), 2 * d)
+                                  + np.bincount(self._differences.ravel(), block.ravel(), 2 * d)
+                                  for block in own])
+        moments = partner_terms + 0.5 * np.einsum("ijc,ic->ij", q, diagonal_sums)
+        moments -= np.einsum("ija,ia->ij", q[..., :d], np.einsum("ial,il->ia", own, means))
+        if n > 2:  # third components; at n = 2 this pass would repeat the partner terms alone
+            flat = rows.reshape(n * d, size)
+            for i in range(n):
+                # h_i(s) = sum_a T_a(t_i(s)) sum_(c != i) (D^T W_ic Ubar_c)_a(s), and
+                # G_ij += E[t_j h_i] less the partner term c = j
+                x = dw_rows[i, :, :i * d] @ flat[:i * d]
+                x += dw_rows[i, :, (i + 1) * d:] @ flat[(i + 1) * d:]
+                h = x[0] + np.einsum("an,an->n", rows[i, :-1], x[1:])
+                h += means[i, :-1] @ x[1:]
+                moments[i] += scale * (components @ h) - partner_terms[i]
+        np.fill_diagonal(moments, 0.0)
+        return moments
 
 
 def gram_matrix(kernel: KernelSpec, data: Dataset) -> np.ndarray:

@@ -30,6 +30,7 @@ near-Gaussian (|excess kurtosis| < 0.3); they are deliberately hard cases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -52,27 +53,21 @@ class SourceSpec:
 
 
 def _gauss_mixture_moments(components) -> tuple[float, float]:
-    w = np.array([c[0] for c in components])
-    mu = np.array([c[1] for c in components])
-    s = np.array([c[2] for c in components])
-    mean = float(np.sum(w * mu))
-    var = float(np.sum(w * (s**2 + mu**2)) - mean**2)
+    mean = sum(w * mu for w, mu, _ in components)
+    var = sum(w * (s * s + mu * mu) for w, mu, s in components) - mean * mean
     return mean, var
 
 
 def _laplace_mixture_moments(components) -> tuple[float, float]:
-    w = np.array([c[0] for c in components])
-    mu = np.array([c[1] for c in components])
-    b = np.array([c[2] for c in components])
-    mean = float(np.sum(w * mu))
-    var = float(np.sum(w * (2 * b**2 + (mu - mean) ** 2)))
+    mean = sum(w * mu for w, mu, _ in components)
+    var = sum(w * (2 * b * b + (mu - mean) ** 2) for w, mu, b in components)
     return mean, var
 
 
 def _gm(label: str, components, description: str, near_gaussian: bool = False) -> SourceSpec:
     mean, var = _gauss_mixture_moments(components)
     return SourceSpec(label, "gauss_mixture", {"components": components},
-                      mean, float(np.sqrt(var)), description, near_gaussian)
+                      mean, math.sqrt(var), description, near_gaussian)
 
 
 def catalog() -> list[SourceSpec]:
@@ -91,7 +86,7 @@ def catalog() -> list[SourceSpec]:
         SourceSpec("e", "exponential", {"rate": 1.0}, 1.0, 1.0,
                    "unit-rate exponential"),
         SourceSpec("f", "laplace_mixture", {"components": lap_mix},
-                   lm_mean, float(np.sqrt(lm_var)),
+                   lm_mean, math.sqrt(lm_var),
                    "mixture of two double exponentials at +/-2"),
         _gm("g", [(0.5, -1.2, 0.4), (0.5, 1.2, 0.4)],
             "symmetric 2-Gaussian mixture, multimodal"),

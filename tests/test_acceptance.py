@@ -128,7 +128,7 @@ def test_criterion_5_separation_accuracy():
 
 
 def test_criterion_6_runtime_scaling():
-    study = run_scaling_study({"RGV": (1000, 2000, 4000, 8000),
+    study = run_scaling_study({"RGV": (4000, 8000, 16000, 32000, 64000),
                                "KGV": (250, 500, 1000)}, repetitions=5)
     rgv_exp = study.exponents["RGV"]
     kgv_exp = study.exponents["KGV"]

@@ -276,11 +276,11 @@ def feature_slopes(data, config, q):
     evaluation = (rgv if config.contrast == "rgv" else rcc)(feats, gamma=config.gamma)
     centered = np.vstack(feats)
     centered -= centered.mean(axis=1, keepdims=True)
-    weights = evaluation.weights()
+    weighted = (evaluation.weights() @ centered).reshape(len(q), -1, centered.shape[1])
     scale = np.sqrt(2.0 / maps[0].m) / rotated.shape[1]
     grad = np.stack([
         scale * (fmap.frequencies[:, 0] @ (np.sin(fmap.frequencies @ rotated[i:i + 1]
-                                                  + fmap.phases[:, None]) * weights(centered, i)))
+                                                  + fmap.phases[:, None]) * weighted[i]))
         for i, fmap in enumerate(maps)])
     a = grad @ rotated.T
     i, j = np.triu_indices(len(q), 1)
@@ -361,6 +361,26 @@ def test_evaluation_and_slopes_peak_memory(contrast, n_samples, m, feature_path_
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * feature_path_peak * n * m * n_samples * 8
+
+
+@pytest.mark.parametrize("contrast", ["rgv", "rcc"])
+def test_slopes_at_the_evaluated_rotation_allocate_no_row_array(contrast):
+    # at n = 2 the slopes come from the evaluation's Gram and means and two
+    # products over the samples, with no (d, N) array of rows: the peak stays
+    # below half of one
+    n_samples = 4096
+    data = whitened_uniform_pair(n_samples, seed=12)
+    objective = make_objective(data, OptimizerConfig(seed=3, contrast=contrast))
+    q = rotation(0.3)
+    objective(q)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        objective.slopes(q)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * objective.basis.degree * n_samples * 8
 
 
 def test_slopes_do_not_depend_on_the_last_evaluation():

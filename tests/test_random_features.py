@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial.chebyshev import chebder
 
 from rica.data_model import Dataset
 from rica.errors import DimensionMismatch
 from rica.random_features import (ChebyshevBasis, FeatureMap, KernelSpec, apply_feature_map,
                                   approximation_error_bound, chebyshev_coefficients,
-                                  chebyshev_degree, draw_feature_map, empirical_approx_error,
-                                  gram_matrix, operator_norm)
+                                  chebyshev_degree, chebyshev_derivative, draw_feature_map,
+                                  empirical_approx_error, gram_matrix, operator_norm)
 
 
 def gaussian_kernel(x, y, sigma=1.0):
@@ -234,19 +235,53 @@ def test_chebyshev_degree_rule():
         assert degree == 1 or degree <= bandwidth or tail[0] > 2.0**-52
 
 
-def test_pull_back_matches_central_differences():
-    # each sample's rows depend on that sample only, so shifting one
-    # component of every sample at once differentiates all columns together
+def test_derivative_matrix_matches_central_differences():
+    # D [T_0..T_(d-1)](t) against central differences of T_1..T_d(t); the
+    # rows depend on t alone, so one shift differentiates every column
     rng = np.random.default_rng(12)
     basis = ChebyshevBasis([antithetic_map(8, seed=4), antithetic_map(8, seed=5)], radius=4.0)
     d = basis.degree
     y = rng.standard_normal((2, 30))
-    weights = rng.standard_normal((2 * d, 30))
     step = 1e-6
     for i in range(2):
-        grad = basis.pull_back(y[i], weights[d * i:d * (i + 1)])
+        lower = np.vstack([np.ones(30), basis.evaluate(y)[d * i:d * (i + 1) - 1]])  # T_0..T_(d-1)
         shift = np.zeros((2, 1))
         shift[i] = step
         change = basis.evaluate(y + shift) - basis.evaluate(y - shift)
-        np.testing.assert_allclose(grad, (weights * change).sum(axis=0) / (2 * step),
-                                   rtol=1e-6, atol=1e-8)
+        np.testing.assert_allclose(basis.derivative @ lower / basis.radius,
+                                   change[d * i:d * (i + 1)] / (2 * step), rtol=1e-6, atol=1e-8)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 8, 45])
+def test_derivative_matrix_rows_are_chebder_of_unit_vectors(degree):
+    # D holds the exact integers 2k (k at a = 0); chebder rounds in its divisions
+    derivative = chebyshev_derivative(degree)
+    for k in range(1, degree + 1):
+        np.testing.assert_allclose(derivative[k - 1], chebder(np.eye(degree + 1)[k]),
+                                   rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("frequency_scale", [1e-9, 1e-4, 0.3, 3.0])  # degrees 1, 2-4, ~11-20, ~70
+def test_derivative_moments_equal_the_direct_sum(n, frequency_scale):
+    # G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik] formed over the samples, with
+    # T_k' from D, against the moment form; the diagonal is 0
+    rng = np.random.default_rng(n)
+    maps = [FeatureMap(frequency_scale * rng.standard_normal((8, 1)), rng.uniform(0, 2 * np.pi, 8))
+            for _ in range(n)]
+    basis = ChebyshevBasis(maps, radius=4.0)
+    d, size = basis.degree, 300
+    y = rng.uniform(-4.0, 4.0, (n, size))
+    rows = basis.evaluate(y)
+    means = rows.mean(axis=1)
+    rows -= means[:, None]
+    weights = rng.standard_normal((n * d, n * d))
+    weights += weights.T
+    moments = basis.derivative_moments(y, rows, means, rows @ rows.T / size, weights)
+    uncentred = (rows + means[:, None]).reshape(n, d, size)
+    lower = np.concatenate([np.ones((n, 1, size)), uncentred[:, :-1]], axis=1)  # T_0..T_(d-1)
+    slopes = np.einsum("ka,ian->ikn", basis.derivative, lower)  # T_k'(t_i)
+    direct = np.einsum("jn,ikn->ij", y / basis.radius,
+                       slopes * (weights @ rows).reshape(n, d, size)) / size
+    np.fill_diagonal(direct, 0.0)
+    assert np.abs(moments - direct).max() <= 1e-12 * np.abs(direct).max()

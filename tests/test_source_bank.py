@@ -88,3 +88,22 @@ def test_catalog_table_lists_every_label():
     table = catalog_table()
     for label in LABELS:
         assert f"\n{label} " in "\n" + table
+
+
+def test_catalog_moments_equal_the_array_formulas_bit_for_bit():
+    # the mixture moments are summed in plain floats; numpy's sums over the
+    # 2-4 components add in the same order, so every moment is the same float
+    analytic = {"a": (0.0, np.sqrt(3.0)), "b": (0.0, np.sqrt(2.0)), "c": (0.0, 1.0),
+                "d": (0.0, np.sqrt(5.0 / 3.0)), "e": (1.0, 1.0)}
+    for spec in catalog():
+        if spec.family in ("gauss_mixture", "laplace_mixture"):
+            w, mu, s = (np.array(column) for column in zip(*spec.parameters["components"]))
+            mean = np.sum(w * mu)
+            if spec.family == "gauss_mixture":
+                var = np.sum(w * (s**2 + mu**2)) - mean**2
+            else:
+                var = np.sum(w * (2 * s**2 + (mu - mean) ** 2))
+            expected = (float(mean), float(np.sqrt(var)))
+        else:
+            expected = tuple(float(v) for v in analytic[spec.label])
+        assert (spec.mean, spec.std) == expected, spec.label
