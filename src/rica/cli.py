@@ -30,7 +30,7 @@ METHOD_TOKENS = tuple(method.lower() for method in METHODS)
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the CLI contract is 1.
+    # argparse exits with status 2 on usage errors; this CLI returns 1 for them.
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _UsageError(message)

@@ -18,20 +18,14 @@ from the Cholesky-normalised pencil L^-1 C L^-T, with L the Cholesky factor
 of D; for two variables that is 1 - sigma_max(L_1^-1 C_12 L_2^-T), one m x m
 SVD. `solve_pencil` keeps the symmetric normalisation as the tested reference.
 
-rcc and rgv take a `CovariancePencil`, or a list of feature matrices that
-`covariance_blocks` turns into one, and return a `ContrastEvaluation`: the
-value, plus the M of its variation from the same factorisation. Both
-contrasts vary as d value = -1/2 tr(M dC) for a symmetric M (Bach & Jordan
-2002, Kernel ICA): M = C^-1 - D^-1 for rgv, and
+rcc and rgv take a `CovariancePencil` and return a `ContrastEvaluation`: the
+value, plus the M of its variation from the same factorisation, in the
+pencil's own coordinates. Both contrasts vary as d value = -1/2 tr(M dC) for
+a symmetric M (Bach & Jordan 2002, Kernel ICA): M = C^-1 - D^-1 for rgv, and
 (x x^T - mu blockdiag(x_i x_i^T)) / mu for rcc, with x the generalised
 eigenvector of mu = mu_min (C x = mu D x) scaled to x^T D x = 1. With
 dC = (dZbar Zbar^T + Zbar dZbar^T) / N for the centred stack Zbar of the
 features, the gradient with respect to the stacked features is -(1/N) M Zbar.
-Where the pencil is T S T^T for a block-diagonal T, as R S R^T in the
-Chebyshev basis of `random_features.ChebyshevBasis`, the value varies as
--1/2 tr(T^T M T dS): `ContrastEvaluation.weights` takes M into the basis
-S is taken in. T may be rectangular, so its blocks of S may be larger or
-smaller than the pencil's.
 Every contrast raises SingularDiagonal when the pencil is numerically singular.
 """
 
@@ -71,29 +65,20 @@ class CovariancePencil:
     row-centered features Zbar; `blocks` views it with shape (n_s, n_s, m, m),
     blocks[i, j] = (1/N) * sum_k zbar(x_i^k) zbar(x_j^k)^T. Zbar may be the
     features' coordinates in any orthonormal basis of their span, which
-    changes no contrast: the fit passes R Ubar of `random_features.ChebyshevBasis`,
-    min(m, d) rows per variable.
+    changes no contrast.
     """
 
     matrix: np.ndarray
     gamma: float
     n_s: int
-    m: int
+
+    @property
+    def m(self) -> int:
+        return len(self.matrix) // self.n_s
 
     @property
     def blocks(self) -> np.ndarray:
         return self.matrix.reshape(self.n_s, self.m, self.n_s, self.m).swapaxes(1, 2)
-
-
-@dataclass(frozen=True)
-class PencilSpectrum:
-    """Full spectrum of the normalized pencil, sorted descending."""
-
-    eigenvalues: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.eigenvalues.size
 
 
 def covariance_blocks(feature_matrices: list[np.ndarray], gamma: float = DEFAULT_GAMMA) -> CovariancePencil:
@@ -112,33 +97,20 @@ def covariance_blocks(feature_matrices: list[np.ndarray], gamma: float = DEFAULT
         raise SampleMismatch("need at least two samples")
     stacked = np.vstack(feature_matrices)
     stacked -= stacked.mean(axis=1, keepdims=True)
-    return CovariancePencil(matrix=stacked @ stacked.T / n_samples, gamma=gamma, n_s=n_s, m=m)
+    return CovariancePencil(matrix=stacked @ stacked.T / n_samples, gamma=gamma, n_s=n_s)
 
 
-def _as_pencil(pencil: CovariancePencil | list[np.ndarray], gamma: float) -> CovariancePencil:
-    return pencil if isinstance(pencil, CovariancePencil) else covariance_blocks(pencil, gamma)
-
-
+@dataclass(frozen=True)
 class ContrastEvaluation:
     """One rcc or rgv value, and the M of its variation d value = -1/2 tr(M dC).
 
-    M is formed from the contrast's factorisation only when `weights` is
-    called.
+    `weights()` forms M, an (n_s m, n_s m) array, from the contrast's
+    factorisation only when called. For the centred stack Zbar of the
+    features, -(1/N) M Zbar is the gradient of the value with respect to them.
     """
 
-    def __init__(self, value: float, weights: Callable[[Callable], np.ndarray]):
-        self.value = value
-        self._weights = weights  # contract -> T^T M T
-
-    def weights(self, contract: Callable[[np.ndarray], np.ndarray] | None = None) -> np.ndarray:
-        """T^T M T, an (n_s d, n_s d) array.
-
-        `contract` returns T^T a, for a block-diagonal T of n_s blocks of
-        m x d, as a new (n_s d, k) array for an (n_s m, k) array a; by
-        default T = I and d = m. For the centred stack Zbar of the features,
-        -(1/N) M Zbar is the gradient of the value with respect to them.
-        """
-        return self._weights(contract or (lambda a: a))
+    value: float
+    weights: Callable[[], np.ndarray]
 
 
 def _normalized_matrix(normalized_off, n_s: int, dim: int) -> np.ndarray:
@@ -153,14 +125,13 @@ def _normalized_matrix(normalized_off, n_s: int, dim: int) -> np.ndarray:
     return big
 
 
-def _normalized_spectrum(normalized_off, n_s: int, dim: int) -> PencilSpectrum:
-    """Sorted spectrum of `_normalized_matrix(normalized_off, n_s, dim)`."""
-    big = _normalized_matrix(normalized_off, n_s, dim)
-    return PencilSpectrum(eigenvalues=np.linalg.eigvalsh(big)[::-1].copy())
+def _normalized_spectrum(normalized_off, n_s: int, dim: int) -> np.ndarray:
+    """Eigenvalues of `_normalized_matrix(normalized_off, n_s, dim)`, descending."""
+    return np.linalg.eigvalsh(_normalized_matrix(normalized_off, n_s, dim))[::-1]
 
 
-def solve_pencil(pencil: CovariancePencil) -> PencilSpectrum:
-    """Spectrum of the normalized pencil built from regularized covariance blocks.
+def solve_pencil(pencil: CovariancePencil) -> np.ndarray:
+    """Eigenvalues, descending, of the normalized pencil built from regularized covariance blocks.
 
     Raises
     ------
@@ -230,8 +201,8 @@ def _inverse_from_cholesky(factor: np.ndarray) -> np.ndarray:
     return inverse.T @ inverse
 
 
-def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray], contract) -> np.ndarray:
-    """T^T M T for M = (C + gamma I)^-1 - blockdiag((C_ii + gamma I)^-1).
+def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray]) -> np.ndarray:
+    """M = (C + gamma I)^-1 - blockdiag((C_ii + gamma I)^-1).
 
     The leading block of the Cholesky factor L of C + gamma I is that of
     C_11 + gamma I, so the leading block of L^-1 gives its inverse, and only
@@ -243,41 +214,39 @@ def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray], contract) 
     weights[:m, :m] -= inverse[:m, :m].T @ inverse[:m, :m]
     for i, block in enumerate(block_factors[1:], 1):
         weights[i * m:(i + 1) * m, i * m:(i + 1) * m] -= _inverse_from_cholesky(block)
-    return contract(contract(weights).T)  # (T^T M T)^T = T^T M T, M being symmetric
+    return weights
 
 
-def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float,
-                 contract) -> np.ndarray:
-    """T^T M T for M = (x x^T - mu blockdiag(x_i x_i^T)) / mu, x the generalised
+def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float) -> np.ndarray:
+    """M = (x x^T - mu blockdiag(x_i x_i^T)) / mu, x the generalised
     eigenvector of mu = mu_min.
 
     x = L^-T v for the unit eigenvector v of B = L^-1 (C + gamma I) L^-T, so
     x^T D x = 1. For two variables v = (p, -q) / sqrt(2), with (p, q) the top
-    singular pair of L_1^-1 C_12 L_2^-T. T^T M T has rank n_s at most and is
-    formed from T^T x.
+    singular pair of L_1^-1 C_12 L_2^-T. M has rank n_s at most.
     """
     n_s, m = len(inverses), inverses[0].shape[0]
     if n_s == 2:
+        # `rcc` took this SVD without vectors. Taking them there would cost
+        # more than taking the SVD twice: at m about 45 an SVD with vectors
+        # costs about 3 times one without (0.39 against 0.14 ms), and a fit
+        # evaluates RCC about twice as often as it asks for the weights
+        # (7.4 evaluations and 3.6 slopes calls per fit on the c,b pair,
+        # N = 1000), so it would add about 1.8 ms per fit to save 1.4 ms.
         left, _, right_t = np.linalg.svd(normalized)
         vector = np.stack([left[:, 0], -right_t[0]]) / np.sqrt(2.0)
     else:
         vector = np.linalg.eigh(normalized)[1][:, 0].reshape(n_s, m)
     x = np.concatenate([inverse.T @ v for inverse, v in zip(inverses, vector)])
-    x = contract(x[:, None])[:, 0]
     weights = np.outer(x, x / mu)
-    size = len(x) // n_s
     for i in range(n_s):
-        block = slice(i * size, (i + 1) * size)
+        block = slice(i * m, (i + 1) * m)
         weights[block, block] -= np.outer(x[block], x[block])
     return weights
 
 
-def rcc(pencil: CovariancePencil | list[np.ndarray],
-        gamma: float = DEFAULT_GAMMA) -> ContrastEvaluation:
+def rcc(pencil: CovariancePencil) -> ContrastEvaluation:
     """Randomized canonical correlation contrast: -1/2 log(mu_min).
-
-    A list of feature matrices is first turned into
-    `covariance_blocks(feature_matrices, gamma)`; a pencil brings its own gamma.
 
     mu_min is the smallest eigenvalue of L^-1 (C + gamma I) L^-T, where L is
     the Cholesky factor of D = blockdiag(C_ii + gamma I); for two variables it
@@ -289,7 +258,6 @@ def rcc(pencil: CovariancePencil | list[np.ndarray],
         If gamma <= 0, a regularized diagonal block is not numerically
         positive definite, or mu_min is below EIGENVALUE_FLOOR.
     """
-    pencil = _as_pencil(pencil, gamma)
     if pencil.gamma <= 0:
         raise SingularDiagonal("rcc requires gamma > 0; increase gamma")
     blocks, regularizer = pencil.blocks, pencil.gamma * np.eye(pencil.m)
@@ -305,14 +273,11 @@ def rcc(pencil: CovariancePencil | list[np.ndarray],
     return ContrastEvaluation(value, partial(_rcc_weights, normalized, inverses, float(mu)))
 
 
-def rgv(pencil: CovariancePencil | list[np.ndarray],
-        gamma: float = DEFAULT_GAMMA) -> ContrastEvaluation:
+def rgv(pencil: CovariancePencil) -> ContrastEvaluation:
     """Randomized generalized variance contrast: -1/2 sum_k log(mu_k).
 
     Computed as 1/2 (sum_i log det(C_ii + gamma I) - log det(C + gamma I)),
     which equals the pencil form because det B = det(C + gamma I) / det D.
-    A list of feature matrices is first turned into
-    `covariance_blocks(feature_matrices, gamma)`; a pencil brings its own gamma.
 
     Raises
     ------
@@ -320,20 +285,12 @@ def rgv(pencil: CovariancePencil | list[np.ndarray],
         If gamma <= 0 or a regularized matrix is not numerically positive
         definite, which signals that gamma is too small for the data.
     """
-    pencil = _as_pencil(pencil, gamma)
     if pencil.gamma <= 0:
         raise SingularDiagonal("rgv requires gamma > 0; increase gamma")
-    m, matrix = pencil.m, pencil.matrix
-    # Regularize in place, saving an (n_s m)^2 copy, and restore the diagonal.
-    diagonal = np.diag_indices_from(matrix)
-    raw_diagonal = matrix[diagonal]
-    matrix[diagonal] += pencil.gamma
-    try:
-        block_factors = [_cholesky(matrix[i * m:(i + 1) * m, i * m:(i + 1) * m])
-                         for i in range(pencil.n_s)]
-        factor = _cholesky(matrix)
-    finally:
-        matrix[diagonal] = raw_diagonal
+    m, matrix = pencil.m, pencil.matrix + pencil.gamma * np.eye(len(pencil.matrix))
+    block_factors = [_cholesky(matrix[i * m:(i + 1) * m, i * m:(i + 1) * m])
+                     for i in range(pencil.n_s)]
+    factor = _cholesky(matrix)
     value = 0.5 * (sum(_log_det(block) for block in block_factors) - _log_det(factor))
     return ContrastEvaluation(value, partial(_rgv_weights, factor, block_factors))
 
@@ -358,8 +315,8 @@ def _centered_grams(datasets: list[Dataset], kernel: KernelSpec) -> list[np.ndar
 
 
 def kernel_pencil_spectrum(datasets: list[Dataset], kernel: KernelSpec,
-                           kappa: float = DEFAULT_KAPPA) -> PencilSpectrum:
-    """Spectrum of the exact regularized kernel CCA pencil.
+                           kappa: float = DEFAULT_KAPPA) -> np.ndarray:
+    """Eigenvalues, descending, of the exact regularized kernel CCA pencil.
 
     Off-diagonal blocks are K_i K_j on centered Gram matrices; diagonal blocks
     (K_i + (N kappa / 2) I)^2. The normalized off blocks become G_i G_j with
@@ -381,11 +338,9 @@ def kernel_pencil_spectrum(datasets: list[Dataset], kernel: KernelSpec,
 
 def kcc_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
     """Exact kernel canonical correlation contrast: -1/2 log(mu_min)."""
-    spectrum = kernel_pencil_spectrum(datasets, kernel, kappa)
-    return _neg_half_log(spectrum.eigenvalues[-1:])
+    return _neg_half_log(kernel_pencil_spectrum(datasets, kernel, kappa)[-1:])
 
 
 def kgv_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
     """Exact kernel generalized variance contrast: -1/2 sum_k log(mu_k)."""
-    spectrum = kernel_pencil_spectrum(datasets, kernel, kappa)
-    return _neg_half_log(spectrum.eigenvalues)
+    return _neg_half_log(kernel_pencil_spectrum(datasets, kernel, kappa))

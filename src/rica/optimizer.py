@@ -20,10 +20,11 @@ default sigma, to within 2^-52 of their amplitude. An evaluation forms those
 d rows by recurrence, with no trigonometric function, and hands the contrast
 a pencil of n min(m, d) rows in place of the features' n m, with the same
 value. Their slopes are closed-form: the value varies as -1/2 tr(W dS) for
-the Gram S of the centred rows and W = R^T M R, the contrast's M taken into
-the basis (Bach & Jordan 2002), and moving Q along E_ij moves t_i = y_i / rho
-by -t_j dh and t_j by t_i dh (Edelman, Arias & Smith 1998), so
-g_ij = G_ij - G_ji with G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik].
+the Gram S of the centred rows and W = R^T M R, the contrast's M over the
+pencil taken to the basis by `ChebyshevBasis.expand` (Bach & Jordan 2002),
+and moving Q along E_ij moves t_i = y_i / rho by -t_j dh and t_j by t_i dh
+(Edelman, Arias & Smith 1998), so g_ij = G_ij - G_ji with
+G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik].
 `ChebyshevBasis.derivative_moments` takes G from the evaluation at the same
 Q (in `descend` always the one just accepted): at n = 2 from its S and row
 means and products of its rows with n + n^2 vectors over the samples, with
@@ -207,10 +208,10 @@ class _FeatureObjective(Objective):
     and hands the contrast the pencil R cov(U) R^T, n min(m, d) square; the
     features themselves are never formed. It keeps the last evaluation (its q,
     components, centred U, U's row means and Gram, and `ContrastEvaluation`)
-    for the slopes at that q, which take R^T M R and those moments to
-    `ChebyshevBasis.derivative_moments` and evaluate no cosine or sine. The
-    next evaluation drops the kept one before allocating, and the slopes
-    consume it, so at most one is alive.
+    for the slopes at that q, which take W = `basis.expand` of the contrast's
+    M and those moments to `ChebyshevBasis.derivative_moments` and evaluate
+    no cosine or sine. The next evaluation drops the kept one before
+    allocating, and the slopes consume it, so at most one is alive.
     """
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):
@@ -230,8 +231,7 @@ class _FeatureObjective(Objective):
         covariance = rows @ rows.T
         covariance /= rows.shape[1]
         pencil = self.basis.compress(covariance)
-        n = len(q)
-        evaluation = self.contrast(CovariancePencil(pencil, self.gamma, n, len(pencil) // n))
+        evaluation = self.contrast(CovariancePencil(pencil, self.gamma, len(q)))
         self.last = (q.copy(), rotated, rows, means, covariance, evaluation)
         return evaluation.value
 
@@ -240,7 +240,7 @@ class _FeatureObjective(Objective):
             self(q)
         _, rotated, rows, means, covariance, evaluation = self.last
         self.last = None
-        weights = evaluation.weights(self.basis.contract)
+        weights = self.basis.expand(evaluation.weights())
         g = self.basis.derivative_moments(rotated, rows, means, covariance, weights)
         i, j = np.triu_indices(len(q), 1)
         return g[i, j] - g[j, i]

@@ -141,10 +141,12 @@ class ChebyshevBasis:
     pencil only loses eigenvalues gamma, whose log-dets cancel in RGV, and
     normalised eigenvalues 1, which are never below RCC's smallest. R_i is
     min(m, d) x d. `evaluate` forms U by the three-term recurrence, with no
-    sine or cosine, `compress` takes S to R S R^T, `contract` applies R^T,
-    and `derivative_moments` takes the moments of U's derivatives that a
-    rotation's slopes need from S and U's means, through T_k' = sum_a D_ka T_a
-    (`chebyshev_derivative`) and T_a T_l = (T_(a+l) + T_|a-l|) / 2.
+    sine or cosine, and `compress` takes S to R S R^T. Its adjoint `expand`
+    takes a contrast's M over the pencil to W = R^T M R over U, so that
+    tr(M d(R S R^T)) = tr(W dS). `derivative_moments` takes the moments of
+    U's derivatives that a rotation's slopes need from S and U's means,
+    through T_k' = sum_a D_ka T_a (`chebyshev_derivative`) and
+    T_a T_l = (T_(a+l) + T_|a-l|) / 2.
     """
 
     def __init__(self, maps: list[FeatureMap], radius: float):
@@ -193,10 +195,12 @@ class ChebyshevBasis:
         pencil = self.factors[:, None] @ blocks @ self.factors[None].swapaxes(2, 3)
         return pencil.swapaxes(1, 2).reshape(n * rank, n * rank)
 
-    def contract(self, a: np.ndarray) -> np.ndarray:
-        """R^T a, for an (n min(m, d), k) array a: a new (n d, k) array."""
+    def expand(self, weights: np.ndarray) -> np.ndarray:
+        """R^T M R over U for a symmetric M over the pencil: the adjoint of `compress`."""
         n, rank, degree = self.factors.shape
-        return (self.factors.swapaxes(1, 2) @ a.reshape(n, rank, -1)).reshape(n * degree, -1)
+        factors_t = self.factors.swapaxes(1, 2)
+        half = (factors_t @ weights.reshape(n, rank, -1)).reshape(n * degree, -1)  # R^T M
+        return (factors_t @ half.T.reshape(n, rank, -1)).reshape(n * degree, -1)  # R^T M^T R
 
     def derivative_moments(self, components: np.ndarray, rows: np.ndarray, means: np.ndarray,
                            covariance: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -3,7 +3,6 @@
 import numpy as np
 
 from rica.audio import AudioClip
-from rica.contrast_engine import PencilSpectrum
 
 
 def empirical_covariance(values: np.ndarray) -> np.ndarray:
@@ -18,6 +17,7 @@ def synthetic_tone(frequency_hz: float, seconds: float, rate_hz: int = 8000,
     return AudioClip(amplitude * np.sin(2.0 * np.pi * frequency_hz * t + phase), rate_hz)
 
 
-def rho(spectrum: PencilSpectrum) -> float:
-    """Largest canonical correlation of a normalized pencil, clipped to [0, 1]."""
-    return float(np.clip(spectrum.eigenvalues[0] - 1.0, 0.0, 1.0))
+def rho(eigenvalues: np.ndarray) -> float:
+    """Largest canonical correlation of a normalized pencil, from its
+    descending eigenvalues, clipped to [0, 1]."""
+    return float(np.clip(eigenvalues[0] - 1.0, 0.0, 1.0))

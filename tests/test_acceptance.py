@@ -5,18 +5,24 @@ lines while the suite executes. Monte Carlo quantities use frozen seeds, so
 every run is deterministic.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import rica
 from helpers import rho
 from rica.cli import main as cli_main
 from rica.contrast_engine import (covariance_blocks, kernel_pencil_spectrum, kgv_oracle,
                                   rcc, rgv, solve_pencil)
 from rica.data_model import Dataset, whiten
 from rica.evaluation import (BenchmarkConfig, amari_distance, mean_amari_by,
-                             rotation_sweep, run_benchmark, run_outlier_study,
-                             run_scaling_study)
+                             rotation_sweep, run_benchmark, run_outlier_study)
 from rica.optimizer import OptimizerConfig, finite_diff_gradient, plane_rotation
 from rica.random_features import (KernelSpec, apply_feature_map, approximation_error_bound,
                                   draw_feature_map, empirical_approx_error)
@@ -68,9 +74,9 @@ def convergence_instance():
         rho_gaps, rgv_gaps = [], []
         for s in range(5):
             z = [features(x, m, seed=1000 + s), features(y, m, seed=5000 + s)]
-            spectrum = solve_pencil(covariance_blocks(z))
-            rho_gaps.append(abs(rho(spectrum) - rho_oracle))
-            rgv_gaps.append(abs(rgv(z).value - kgv_target))
+            pencil = covariance_blocks(z)
+            rho_gaps.append(abs(rho(solve_pencil(pencil)) - rho_oracle))
+            rgv_gaps.append(abs(rgv(pencil).value - kgv_target))
         gaps[m] = (float(np.mean(rho_gaps)), float(np.mean(rgv_gaps)))
     return gaps
 
@@ -127,15 +133,25 @@ def test_criterion_5_separation_accuracy():
     assert rgv_x100 <= fastica_x100
 
 
-def test_criterion_6_runtime_scaling():
-    study = run_scaling_study({"RGV": (4000, 8000, 16000, 32000, 64000),
-                               "KGV": (250, 500, 1000)}, repetitions=5)
-    rgv_exp = study.exponents["RGV"]
-    kgv_exp = study.exponents["KGV"]
-    rgv_4000 = next(p.median_seconds for p in study.points
-                    if p.method == "RGV" and p.N == 4000)
-    kgv_1000 = next(p.median_seconds for p in study.points
-                    if p.method == "KGV" and p.N == 1000)
+def test_criterion_6_runtime_scaling(tmp_path):
+    # `rica scaling` runs in a child process whose BLAS uses one thread, a
+    # limit that must be set before numpy loads. On two threads the KGV
+    # eigen-solves gained about 1.6x at N = 1000 and little at N = 250, by an
+    # amount that moved with the load on the machine, and the fitted KGV
+    # exponent fell below its bound in about one run in three.
+    out = tmp_path / "scaling.csv"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(rica.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]))
+    env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    subprocess.run([sys.executable, "-m", "rica.cli", "scaling", "--seed", "0", "--reps", "5",
+                    "--plan", "rgv:4000+8000+16000+32000+64000,kgv:250+500+1000",
+                    "--out", str(out)], env=env, check=True, capture_output=True)
+    lines = out.read_text().splitlines()
+    exponents = json.loads(lines[-1].removeprefix("# fitted exponents: "))
+    seconds = {(method, int(n)): float(value)
+               for method, n, value in (line.split(",") for line in lines[2:-1])}
+    rgv_exp, kgv_exp = exponents["RGV"], exponents["KGV"]
+    rgv_4000, kgv_1000 = seconds["RGV", 4000], seconds["KGV", 1000]
     extrapolated = kgv_1000 * (4000 / 1000) ** 3
     ratio = extrapolated / rgv_4000
     passed = rgv_exp <= 1.3 and kgv_exp >= 2.3 and ratio >= 5.0
@@ -186,22 +202,21 @@ def test_criterion_8_property_suites(tmp_path):
     x = rng.standard_normal(500)
     y = 0.6 * x + 0.8 * rng.standard_normal(500)
     z = [features(x, 40, seed=1), features(y, 40, seed=2)]
-    spectrum = solve_pencil(covariance_blocks(z, gamma=0.01))
-    mu = spectrum.eigenvalues
+    gamma = 0.01
+    pencil = covariance_blocks(z, gamma=gamma)
+    mu = solve_pencil(pencil)
     if not np.all(mu > 0):
         failures.append("pencil positivity")
-    if not abs(mu.sum() - spectrum.size) < 1e-6:
+    if not abs(mu.sum() - mu.size) < 1e-6:
         failures.append("pencil trace")
     if not np.allclose((mu + mu[::-1]) / 2.0, 1.0, atol=1e-8):
         failures.append("pencil symmetry about 1")
 
     # contrast nonnegativity
-    if rcc(z, gamma=0.01).value < -1e-9 or rgv(z, gamma=0.01).value < -1e-9:
+    if rcc(pencil).value < -1e-9 or rgv(pencil).value < -1e-9:
         failures.append("contrast nonnegativity")
 
     # zero-diagonal pencil equivalence for n_s=2 (1e-8)
-    gamma = 0.01
-    pencil = covariance_blocks(z, gamma=gamma)
     m = pencil.m
     zero_diag = np.zeros((2 * m, 2 * m))
     zero_diag[:m, m:] = pencil.blocks[0, 1]
@@ -210,7 +225,7 @@ def test_criterion_8_property_suites(tmp_path):
     diag[:m, :m] = pencil.blocks[0, 0] + gamma * np.eye(m)
     diag[m:, m:] = pencil.blocks[1, 1] + gamma * np.eye(m)
     rho_direct = float(np.max(scipy.linalg.eigh(zero_diag, diag, eigvals_only=True)))
-    if not abs(rcc(z, gamma=gamma).value - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8:
+    if not abs(rcc(pencil).value - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8:
         failures.append("zero-diagonal equivalence")
 
     # end-to-end seed determinism: byte-identical CSV from repeated runs

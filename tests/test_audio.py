@@ -6,7 +6,7 @@ import pytest
 from rica import audio
 from helpers import synthetic_tone
 from rica.audio import AudioClip, read_wav, separate_audio, write_wav
-from rica.contrast_engine import kgv_oracle, rgv
+from rica.contrast_engine import covariance_blocks, kgv_oracle, rgv
 from rica.data_model import Dataset
 from rica.errors import DegenerateCovariance, RateMismatch, TooShort
 from rica.evaluation import BenchmarkConfig
@@ -119,7 +119,7 @@ def test_rgv_evaluation_beats_extrapolated_kgv_on_audio():
     maps = [draw_feature_map(kernel, 200, 1, seed=s) for s in (1, 2)]
     t0 = time.perf_counter()
     feats = [apply_feature_map(maps[i], Dataset(mixed[i:i + 1])) for i in range(2)]
-    rgv(feats)
+    rgv(covariance_blocks(feats))
     rgv_seconds = time.perf_counter() - t0
 
     capped = mixed[:, ::5][:, :1000]

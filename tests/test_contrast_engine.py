@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import rho
@@ -69,12 +69,12 @@ def test_solve_pencil_requires_positive_gamma():
         solve_pencil(pencil)
 
 
-def test_contrasts_of_a_pencil_equal_those_of_its_features():
+def test_contrasts_leave_the_pencil_matrix_unchanged():
     rng = np.random.default_rng(9)
     z = [features(rng.standard_normal(200), 12, seed=s) for s in (1, 2, 3)]
     pencil = covariance_blocks(z, gamma=0.01)
     for contrast in (rcc, rgv):
-        assert contrast(pencil).value == contrast(z, gamma=0.01).value
+        contrast(pencil).weights()
     np.testing.assert_array_equal(pencil.matrix, covariance_blocks(z, gamma=0.01).matrix)
 
 
@@ -100,16 +100,15 @@ def test_contrasts_of_the_chebyshev_pencil_equal_those_of_the_features(seed, n_s
     expand = scipy.linalg.block_diag(*[chebyshev_coefficients(fmap, radius, basis.degree)[:, 1:]
                                        for fmap in maps])
     for contrast in (rcc, rgv):
-        compressed = contrast(CovariancePencil(basis.compress(covariance), gamma, n_s,
-                                               basis.factors.shape[1])).value
-        full = contrast(CovariancePencil(expand @ covariance @ expand.T, gamma, n_s, m)).value
+        compressed = contrast(CovariancePencil(basis.compress(covariance), gamma, n_s)).value
+        full = contrast(CovariancePencil(expand @ covariance @ expand.T, gamma, n_s)).value
         assert abs(compressed - full) <= 1e-12
 
 
 def test_rgv_requires_positive_gamma():
     z = [features(np.arange(5.0), 8, seed=1), features(np.arange(5.0), 8, seed=2)]
     with pytest.raises(SingularDiagonal):
-        rgv(z, gamma=0.0)
+        rgv(covariance_blocks(z, gamma=0.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -122,8 +121,8 @@ def test_rgv_log_det_equals_pencil_spectrum(seed, n_s, m, n_samples, gamma):
     x = rng.standard_normal(n_samples)
     z = [features(x + k * rng.standard_normal(n_samples), m, seed=seed + k)
          for k in range(n_s)]
-    spectrum = solve_pencil(covariance_blocks(z, gamma=gamma))
-    assert abs(rgv(z, gamma=gamma).value - (-0.5 * np.sum(np.log(spectrum.eigenvalues)))) < 1e-10
+    pencil = covariance_blocks(z, gamma=gamma)
+    assert abs(rgv(pencil).value - (-0.5 * np.sum(np.log(solve_pencil(pencil))))) < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -136,30 +135,39 @@ def test_rcc_cholesky_form_equals_pencil_spectrum(seed, n_s, m, n_samples, gamma
     x = rng.standard_normal(n_samples)
     z = [features(x + k * rng.standard_normal(n_samples), m, seed=seed + k)
          for k in range(n_s)]
-    spectrum = solve_pencil(covariance_blocks(z, gamma=gamma))
-    assert abs(rcc(z, gamma=gamma).value - (-0.5 * np.log(spectrum.eigenvalues[-1]))) < 1e-10
+    pencil = covariance_blocks(z, gamma=gamma)
+    assert abs(rcc(pencil).value - (-0.5 * np.log(solve_pencil(pencil)[-1]))) < 1e-10
 
 
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n_s=st.sampled_from([2, 3, 4]),
        gamma=st.floats(1e-3, 1e-1), contrast=st.sampled_from([rcc, rgv]))
+@example(seed=2010907718, n_s=4, gamma=0.002, contrast=rgv)
 def test_feature_gradient_matches_central_differences(seed, n_s, gamma, contrast):
-    # the directional derivative along a random V of the stacked features
+    # the directional derivative along a random V of the stacked features.
+    # The reference is the Richardson value (4 D(h/2) - D(h)) / 3 of the
+    # central differences D: at h alone their truncation error reached
+    # 6.1e-8 against a slope of 1.2e-3 (the pinned example), where the
+    # Richardson value was within 1.7e-9.
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(300)
     z = [features(x + k * rng.standard_normal(300), 20, seed=seed + k) for k in range(n_s)]
     centered = np.vstack(z)
     centered -= centered.mean(axis=1, keepdims=True)
-    grad = -contrast(z, gamma=gamma).weights() @ centered / centered.shape[1]
+    grad = -contrast(covariance_blocks(z, gamma=gamma)).weights() @ centered / centered.shape[1]
     direction = [rng.standard_normal(block.shape) for block in z]
     step = 1e-5
 
     def along(h):
-        return contrast([block + h * v for block, v in zip(z, direction)], gamma=gamma).value
+        return contrast(covariance_blocks([block + h * v for block, v in zip(z, direction)],
+                                          gamma=gamma)).value
 
-    central = (along(step) - along(-step)) / (2.0 * step)
+    def central(h):
+        return (along(h) - along(-h)) / (2.0 * h)
+
+    reference = (4.0 * central(step / 2) - central(step)) / 3.0
     analytic = float(np.sum(grad * np.vstack(direction)))
-    assert abs(analytic - central) <= 1e-5 * abs(central) + 1e-8
+    assert abs(analytic - reference) <= 1e-5 * abs(reference) + 1e-8
 
 
 def test_independent_variables_small_rho_decreasing_in_n():
@@ -190,10 +198,9 @@ def test_spectrum_positive_trace_and_symmetry_about_one():
     x = rng.standard_normal(600)
     y = 0.6 * x + 0.8 * rng.standard_normal(600)
     z = [features(x, 40, seed=1), features(y, 40, seed=2)]
-    spectrum = solve_pencil(covariance_blocks(z, gamma=0.01))
-    mu = spectrum.eigenvalues
+    mu = solve_pencil(covariance_blocks(z, gamma=0.01))
     assert np.all(mu > 0)
-    assert abs(mu.sum() - spectrum.size) < 1e-6
+    assert abs(mu.sum() - mu.size) < 1e-6
     paired = mu + mu[::-1]
     np.testing.assert_allclose(paired / 2.0, 1.0, atol=1e-8)
 
@@ -217,7 +224,7 @@ def test_two_variable_spectrum_matches_svd_oracle():
         @ inv_sqrt(pencil.blocks[1, 1] + gamma * np.eye(30))
     sing = np.linalg.svd(m_block, compute_uv=False)
     expected = np.sort(np.concatenate([1.0 + sing, 1.0 - sing]))[::-1]
-    np.testing.assert_allclose(spectrum.eigenvalues, expected, atol=1e-10)
+    np.testing.assert_allclose(spectrum, expected, atol=1e-10)
 
 
 def test_rho_matches_zero_diagonal_generalized_pencil():
@@ -242,7 +249,7 @@ def test_rho_matches_zero_diagonal_generalized_pencil():
     rho_direct = float(np.max(eigs))
     assert abs(rho(spectrum) - rho_direct) < 1e-8
     # and rcc equals -1/2 log(1 - rho) of that directly solved pencil
-    assert abs(rcc(z, gamma=gamma).value - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8
+    assert abs(rcc(pencil).value - (-0.5 * np.log(1.0 - rho_direct))) < 1e-8
 
 
 def test_rcc_independent_baseline():
@@ -250,13 +257,13 @@ def test_rcc_independent_baseline():
     half = np.sqrt(3)
     z = [features(rng.uniform(-half, half, 2000), 200, seed=1),
          features(rng.uniform(-half, half, 2000), 200, seed=2)]
-    assert rcc(z, gamma=0.02).value <= 0.1
+    assert rcc(covariance_blocks(z, gamma=0.02)).value <= 0.1
 
 
 def test_rcc_blows_up_for_identical_variable():
     rng = np.random.default_rng(4)
     z = features(rng.standard_normal(800), 100, seed=11)
-    assert rcc([z, z.copy()], gamma=1e-3).value >= 1.0
+    assert rcc(covariance_blocks([z, z.copy()], gamma=1e-3)).value >= 1.0
 
 
 def test_rgv_independent_baseline():
@@ -264,14 +271,14 @@ def test_rgv_independent_baseline():
     half = np.sqrt(3)
     z = [features(rng.uniform(-half, half, 2000), 200, seed=3),
          features(rng.uniform(-half, half, 2000), 200, seed=4)]
-    assert rgv(z, gamma=0.02).value <= 0.2
+    assert rgv(covariance_blocks(z, gamma=0.02)).value <= 0.2
 
 
 def test_rgv_dominates_rcc_under_perfect_dependence():
     rng = np.random.default_rng(4)
     z = features(rng.standard_normal(800), 100, seed=11)
-    pair = [z, z.copy()]
-    assert rgv(pair, gamma=1e-3).value >= rcc(pair, gamma=1e-3).value
+    pencil = covariance_blocks([z, z.copy()], gamma=1e-3)
+    assert rgv(pencil).value >= rcc(pencil).value
 
 
 def test_contrasts_nonnegative():
@@ -280,8 +287,9 @@ def test_contrasts_nonnegative():
         x = rng.standard_normal(300)
         y = rng.standard_normal(300) if s % 2 else 0.3 * x + rng.standard_normal(300)
         z = [features(x, 30, seed=s), features(y, 30, seed=50 + s)]
-        assert rcc(z, gamma=0.01).value >= -1e-9
-        assert rgv(z, gamma=0.01).value >= -1e-9
+        pencil = covariance_blocks(z, gamma=0.01)
+        assert rcc(pencil).value >= -1e-9
+        assert rgv(pencil).value >= -1e-9
 
 
 @settings(max_examples=10, deadline=None)
@@ -293,9 +301,10 @@ def test_permutation_invariance(seed):
     w = rng.standard_normal(500)
     z = [features(x, 20, seed=1), features(y, 20, seed=2), features(w, 20, seed=3)]
     for contrast in (rcc, rgv):
-        base = contrast(z, gamma=0.02).value
-        assert abs(contrast([z[2], z[0], z[1]], gamma=0.02).value - base) < 1e-9
-        assert abs(contrast([z[1], z[0], z[2]], gamma=0.02).value - base) < 1e-9
+        base = contrast(covariance_blocks(z, gamma=0.02)).value
+        for order in ([2, 0, 1], [1, 0, 2]):
+            permuted = covariance_blocks([z[k] for k in order], gamma=0.02)
+            assert abs(contrast(permuted).value - base) < 1e-9
 
 
 def test_rcc_nondecreasing_in_dependence():
@@ -305,8 +314,9 @@ def test_rcc_nondecreasing_in_dependence():
             rng = np.random.default_rng(50 + s)
             a = rng.standard_normal(2000)
             b = alpha * a + np.sqrt(1 - alpha**2) * rng.standard_normal(2000)
-            values.append(rcc([features(a, 100, seed=60 + s),
-                               features(b, 100, seed=70 + s)], gamma=0.02).value)
+            values.append(rcc(covariance_blocks([features(a, 100, seed=60 + s),
+                                                 features(b, 100, seed=70 + s)],
+                                                gamma=0.02)).value)
         return np.mean(values)
 
     v0, v5, v9 = mean_rcc(0.0), mean_rcc(0.5), mean_rcc(0.9)
@@ -324,7 +334,8 @@ def _identical_variables():
 
 
 @pytest.mark.parametrize("contrast", [
-    lambda: rcc(_identical_features(), gamma=1e-13),  # 1 - rho underflows the floor
+    # 1 - rho underflows the floor
+    lambda: rcc(covariance_blocks(_identical_features(), gamma=1e-13)),
     lambda: kcc_oracle(_identical_variables(), KERNEL, kappa=1e-14),
     lambda: kgv_oracle(_identical_variables(), KERNEL, kappa=1e-14),
 ], ids=["rcc", "kcc_oracle", "kgv_oracle"])
@@ -388,7 +399,7 @@ def test_rgv_approaches_kgv_with_many_features():
         gaps = []
         for s in range(3):
             z = [features(x, m, seed=1000 + s), features(y, m, seed=5000 + s)]
-            gaps.append(abs(rgv(z, gamma=0.002).value - target))
+            gaps.append(abs(rgv(covariance_blocks(z, gamma=0.002)).value - target))
         return np.mean(gaps)
 
     assert mean_gap(400) < mean_gap(50)

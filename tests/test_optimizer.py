@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rica import optimizer
-from rica.contrast_engine import rcc, rgv
+from rica.contrast_engine import covariance_blocks, rcc, rgv
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import NoProgress
 from rica.evaluation import BenchmarkConfig, amari_distance, run_benchmark
@@ -273,7 +273,7 @@ def feature_slopes(data, config, q):
     rotated = q @ data.values
     maps = draw_objective_maps(config, len(q))
     feats = [apply_feature_map(fmap, Dataset(rotated[i:i + 1])) for i, fmap in enumerate(maps)]
-    evaluation = (rgv if config.contrast == "rgv" else rcc)(feats, gamma=config.gamma)
+    evaluation = (rgv if config.contrast == "rgv" else rcc)(covariance_blocks(feats, config.gamma))
     centered = np.vstack(feats)
     centered -= centered.mean(axis=1, keepdims=True)
     weighted = (evaluation.weights() @ centered).reshape(len(q), -1, centered.shape[1])
@@ -391,6 +391,26 @@ def test_slopes_do_not_depend_on_the_last_evaluation():
         reused = objective.slopes(rotation(0.3))
         objective(rotation(1.1))
         np.testing.assert_array_equal(objective.slopes(rotation(0.3)), reused)
+
+
+@pytest.mark.parametrize("contrast", ["rgv", "rcc"])
+def test_objective_calls_the_contrast_it_looked_up_once_per_evaluation(contrast, monkeypatch):
+    # perfbench counts a fit's objective calls by wrapping `rica.optimizer.rgv`
+    # and `rica.optimizer.rcc`: the objective looks the contrast up there when
+    # it is built, calls it once per evaluation, and the slopes at the
+    # evaluated rotation call it no more
+    calls = []
+
+    def counted(pencil, _original=getattr(optimizer, contrast)):
+        calls.append(pencil)
+        return _original(pencil)
+
+    monkeypatch.setattr(optimizer, contrast, counted)
+    objective = make_objective(whitened_uniform_pair(500, seed=3),
+                               OptimizerConfig(seed=4, contrast=contrast, m=32))
+    objective(rotation(0.3))
+    objective.slopes(rotation(0.3))
+    assert len(calls) == 1
 
 
 def test_minimize_contrast_uniform_pair_50_trials():

@@ -171,7 +171,7 @@ def interpolant(basis, fmap, rows):
 def test_chebyshev_basis_expands_to_the_features():
     # the rows are T_1..T_d(y / radius); with the interpolation coefficients C
     # they give the features, R^T R = C'^T C' for C' = C without its constant
-    # column, and compress and contract apply R on both sides and R^T
+    # column, and expand is the adjoint of compress, which applies R on both sides
     rng = np.random.default_rng(11)
     maps = [antithetic_map(8, seed=s) for s in (1, 2, 3)]
     y = 2.0 * rng.standard_normal((3, 40))
@@ -189,11 +189,13 @@ def test_chebyshev_basis_expands_to_the_features():
         coefficients = chebyshev_coefficients(fmap, radius, d)[:, 1:]
         np.testing.assert_allclose(basis.factors[i].T @ basis.factors[i],
                                    coefficients.T @ coefficients, rtol=0.0, atol=1e-13)
-    a = rng.standard_normal((3 * basis.factors.shape[1], 5))
+    size = 3 * basis.factors.shape[1]
+    weights = rng.standard_normal((size, size))
+    weights += weights.T
     s = rng.standard_normal((3 * d, 3 * d))
     s += s.T
-    contracted = basis.contract(a)
-    np.testing.assert_allclose(a.T @ basis.compress(s) @ a, contracted.T @ s @ contracted,
+    np.testing.assert_allclose(np.sum(weights * basis.compress(s)),
+                               np.sum(basis.expand(weights) * s),
                                rtol=1e-13, atol=0.0)
 
 
