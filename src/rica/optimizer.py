@@ -19,17 +19,20 @@ component are a fixed m x d map of T_1..T_d(y / rho), d about 45 at the
 default sigma, to within 2^-52 of their amplitude. An evaluation forms those
 d rows by recurrence, with no trigonometric function, and hands the contrast
 a pencil of n min(m, d) rows in place of the features' n m, with the same
-value. Their slopes are closed-form: the value varies as -1/2 tr(W dS) for
-the Gram S of the centred rows and W = R^T M R, the contrast's M over the
+value. `ChebyshevBasis.row_moments` reads the rows once and never centres
+them: the diagonal blocks of their Gram come from the 2d + 1 moments
+E[T_k(t_i)], and only the cross blocks from products over the samples.
+The slopes of RCC and RGV are closed-form: the value varies as
+-1/2 tr(W dS) for the covariance S of the rows and W = R^T M R, the contrast's M over the
 pencil taken to the basis by `ChebyshevBasis.expand` (Bach & Jordan 2002),
 and moving Q along E_ij moves t_i = y_i / rho by -t_j dh and t_j by t_i dh
 (Edelman, Arias & Smith 1998), so g_ij = G_ij - G_ji with
-G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik].
+G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik], Ubar the centred rows.
 `ChebyshevBasis.derivative_moments` takes G from the evaluation at the same
 Q (in `descend` always the one just accepted): at n = 2 from its S and row
-means and products of its rows with n + n^2 vectors over the samples, with
-no new array of d rows; at n >= 3 the other components add a pass of
-(n - 1) d^2 N per component. The kernel oracles
+means and the products its one read took with 2 + 2n vectors, with no sum
+over the samples; at n >= 3 from one pass of n^2 d^2 N over the uncentred
+rows, the means entering as a rank-one correction. The kernel oracles
 take central differences, two evaluations per plane; `finite_diff_gradient`
 keeps them as the test oracle for every contrast.
 
@@ -204,14 +207,16 @@ class _FeatureObjective(Objective):
     It works in a Chebyshev basis of the maps' span (`ChebyshevBasis`) on
     [-rho, rho], rho the largest sample norm of the whitened data, which
     bounds every component of an orthogonal rotation: an evaluation forms
-    T_1..T_d of the components over rho by recurrence, centres them in place
-    and hands the contrast the pencil R cov(U) R^T, n min(m, d) square; the
-    features themselves are never formed. It keeps the last evaluation (its q,
-    components, centred U, U's row means and Gram, and `ContrastEvaluation`)
-    for the slopes at that q, which take W = `basis.expand` of the contrast's
-    M and those moments to `ChebyshevBasis.derivative_moments` and evaluate
-    no cosine or sine. The next evaluation drops the kept one before
-    allocating, and the slopes consume it, so at most one is alive.
+    T_1..T_d of the components over rho by recurrence, reads them once
+    uncentred (`ChebyshevBasis.row_moments`) and hands the contrast the
+    pencil R cov(U) R^T, n min(m, d) square; the features themselves are
+    never formed. It keeps the last evaluation (its q, `RowMoments` and
+    `ContrastEvaluation`) for the slopes at that q, which take W =
+    `basis.expand` of the contrast's M and those moments to
+    `ChebyshevBasis.derivative_moments` and evaluate no cosine or sine. At
+    n = 2 what it keeps holds nothing of size N; at n >= 3 it holds the rows,
+    which the slopes' pass reads. The next evaluation drops the kept one
+    before allocating, and the slopes consume it, so at most one is alive.
     """
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):
@@ -224,24 +229,19 @@ class _FeatureObjective(Objective):
 
     def __call__(self, q: np.ndarray) -> float:
         self.last = None
-        rotated = q @ self.values
-        rows = self.basis.evaluate(rotated)
-        means = rows.mean(axis=1)
-        rows -= means[:, None]
-        covariance = rows @ rows.T
-        covariance /= rows.shape[1]
-        pencil = self.basis.compress(covariance)
+        moments = self.basis.row_moments(q @ self.values)
+        pencil = self.basis.compress(moments.covariance)
         evaluation = self.contrast(CovariancePencil(pencil, self.gamma, len(q)))
-        self.last = (q.copy(), rotated, rows, means, covariance, evaluation)
+        self.last = (q.copy(), moments, evaluation)
         return evaluation.value
 
     def slopes(self, q: np.ndarray) -> np.ndarray:
         if self.last is None or not np.array_equal(self.last[0], q):
             self(q)
-        _, rotated, rows, means, covariance, evaluation = self.last
+        _, moments, evaluation = self.last
         self.last = None
         weights = self.basis.expand(evaluation.weights())
-        g = self.basis.derivative_moments(rotated, rows, means, covariance, weights)
+        g = self.basis.derivative_moments(moments, weights)
         i, j = np.triu_indices(len(q), 1)
         return g[i, j] - g[j, i]
 

@@ -128,6 +128,27 @@ def chebyshev_derivative(degree: int) -> np.ndarray:
     return derivative
 
 
+@dataclass(frozen=True)
+class RowMoments:
+    """What one read of the uncentred rows T_1..T_d(t_i), t = y / radius, leaves of n components.
+
+    E is the mean over the N samples. `covariance` is S = cov(U), (n d, n d),
+    U the rows stacked component by component, and `means` U's row means,
+    (n, d). The slopes at n = 2 take `partner_top` and `own_top`, (n, d, n),
+    which hold E[T_a(t_i) t_j T_d(t_j)] and E[T_a(t_i) T_d(t_i) t_j] for
+    a = 1..d, and keep nothing of size N. At n >= 3 they take instead the
+    (n, N) components and the rows themselves, degree-major: `rows[k - 1, i]`
+    is T_k(t_i).
+    """
+
+    covariance: np.ndarray
+    means: np.ndarray
+    partner_top: np.ndarray | None = None
+    own_top: np.ndarray | None = None
+    components: np.ndarray | None = None
+    rows: np.ndarray | None = None
+
+
 class ChebyshevBasis:
     """1-D feature maps, one per variable, in a Chebyshev basis of their span on [-radius, radius].
 
@@ -141,12 +162,14 @@ class ChebyshevBasis:
     pencil only loses eigenvalues gamma, whose log-dets cancel in RGV, and
     normalised eigenvalues 1, which are never below RCC's smallest. R_i is
     min(m, d) x d. `evaluate` forms U by the three-term recurrence, with no
-    sine or cosine, and `compress` takes S to R S R^T. Its adjoint `expand`
-    takes a contrast's M over the pencil to W = R^T M R over U, so that
-    tr(M d(R S R^T)) = tr(W dS). `derivative_moments` takes the moments of
-    U's derivatives that a rotation's slopes need from S and U's means,
-    through T_k' = sum_a D_ka T_a (`chebyshev_derivative`) and
-    T_a T_l = (T_(a+l) + T_|a-l|) / 2.
+    sine or cosine. `row_moments` reads those rows once and never centres
+    them: S's diagonal blocks come from the 2d + 1 moments E[T_k(t_i)]
+    through T_a T_b = (T_(a+b) + T_|a-b|) / 2, and only its cross blocks
+    from products of the rows. `compress` takes S to R S R^T, and its
+    adjoint `expand` takes a contrast's M over the pencil to W = R^T M R over
+    U, so that tr(M d(R S R^T)) = tr(W dS). `derivative_moments` takes the
+    moments of U's derivatives that a rotation's slopes need from what
+    `row_moments` left, through T_k' = sum_a D_ka T_a (`chebyshev_derivative`).
     """
 
     def __init__(self, maps: list[FeatureMap], radius: float):
@@ -166,6 +189,8 @@ class ChebyshevBasis:
         # a + l and |a - l| for a = 0..d-1, l = 1..d: the indices of T_a T_l's two terms
         a, l = np.ogrid[:self.degree, 1:self.degree + 1]
         self._sums, self._differences = a + l, np.abs(a - l)
+        # a + b and |a - b| for a, b = 1..d: the Hankel and Toeplitz indices of T_a T_b
+        self._hankel, self._toeplitz = a + l + 1, np.abs(a + 1 - l)
 
     def evaluate(self, components: np.ndarray) -> np.ndarray:
         """U for the rows y_i of an (n, N) array: the (n d, N) stack of T_1..T_d(y_i / radius).
@@ -173,20 +198,74 @@ class ChebyshevBasis:
         Raises ValueError where a component leaves [-radius, radius] by more
         than rounding, where the interpolant would extrapolate.
         """
-        t = components / self.radius
-        if np.abs(t).max() > 1.0 + 1e-12:
-            raise ValueError(f"components reach {np.abs(t).max():.6g} times the basis radius "
+        rows = np.empty((len(components), self.degree, components.shape[1]))
+        self._recurrence(components, rows.swapaxes(0, 1))
+        return rows.reshape(-1, components.shape[1])
+
+    def _recurrence(self, components: np.ndarray, steps: np.ndarray) -> None:
+        """Write T_k(y_i / radius) into steps[k - 1, i] of a (d, n, N) array or view."""
+        t = np.divide(components, self.radius, out=steps[0])
+        reach = np.abs(t).max()
+        if reach > 1.0 + 1e-12:
+            raise ValueError(f"components reach {reach:.6g} times the basis radius "
                              f"{self.radius:.6g}; the rotation must be orthogonal")
-        rows = np.empty((len(t), self.degree, t.shape[-1]))
-        rows[:, 0] = t
         two_t = 2.0 * t
         previous = 1.0
         for k in range(1, self.degree):
-            current = rows[:, k]
-            np.multiply(two_t, rows[:, k - 1], out=current)
-            current -= previous
-            previous = rows[:, k - 1]
-        return rows.reshape(-1, t.shape[-1])
+            np.multiply(two_t, steps[k - 1], out=steps[k])
+            steps[k] -= previous
+            previous = steps[k - 1]
+
+    def row_moments(self, components: np.ndarray) -> RowMoments:
+        """S = cov(U) and what the slopes need, for the rows y_i of an (n, N) array.
+
+        After the recurrence the uncentred rows are read once. Component i's
+        rows meet, in one product over the samples, the vectors 1 and
+        T_d(t_i), which give the means mu_i and E[T_a T_d], hence every
+        moment p_k = E[T_k(t_i)], k <= 2d, by T_(d+a) = 2 T_d T_a - T_(d-a);
+        the diagonal block S_ii[a, b] = (p_(a+b) + p_|a-b|) / 2 - mu_ia mu_ib
+        takes no product over the samples. At n = 2 the same product also
+        takes the 2n vectors y_j T_d(t_j) and T_d(t_i) y_j of `partner_top`
+        and `own_top`. Each cross block S_ij, i < j, is one product of the
+        two components' rows, less mu_i mu_j^T.
+        """
+        n, size = components.shape
+        d = self.degree
+        # steps[k - 1, i] = T_k(t_i): degree-major, so that each recurrence
+        # step is one contiguous pass over n N samples
+        steps = np.empty((d, n, size))
+        self._recurrence(components, steps)
+        rows = steps.swapaxes(0, 1)
+        top = steps[-1]  # T_d(t_i)
+        vectors = np.empty((n, 2 + 2 * n if n == 2 else 2, size))
+        vectors[:, 0] = 1.0
+        vectors[:, 1] = top
+        if n == 2:
+            np.multiply(components, top, out=vectors[:, 2:2 + n])
+            np.multiply(top[:, None], components, out=vectors[:, 2 + n:])
+        sums = np.matmul(rows, vectors.swapaxes(1, 2))  # [i, a, v]
+        sums /= size
+        means = sums[..., 0]
+        powers = np.empty((n, 2 * d + 1))  # p_k = E[T_k(t_i)]
+        powers[:, 0] = 1.0
+        powers[:, 1:d + 1] = means
+        powers[:, d + 1:] = 2.0 * sums[..., 1] - powers[:, d - 1::-1]
+        blocks = np.take(powers, self._hankel, axis=1)
+        blocks += np.take(powers, self._toeplitz, axis=1)
+        blocks *= 0.5
+        second = np.empty((n, d, n, d))  # E[U_i U_j^T]
+        for i in range(n):
+            second[i, :, i] = blocks[i]
+            for j in range(i + 1, n):
+                np.matmul(rows[i], rows[j].T, out=second[i, :, j])
+                second[i, :, j] /= size
+                second[j, :, i] = second[i, :, j].T
+        covariance = second.reshape(n * d, n * d)
+        covariance -= np.multiply.outer(means.ravel(), means.ravel())
+        if n == 2:
+            return RowMoments(covariance, means, sums[..., 2:2 + n] / self.radius,
+                              sums[..., 2 + n:] / self.radius)
+        return RowMoments(covariance, means, components=components, rows=steps)
 
     def compress(self, covariance: np.ndarray) -> np.ndarray:
         """R S R^T for an (n d, n d) matrix S over U."""
@@ -202,57 +281,66 @@ class ChebyshevBasis:
         half = (factors_t @ weights.reshape(n, rank, -1)).reshape(n * degree, -1)  # R^T M
         return (factors_t @ half.T.reshape(n, rank, -1)).reshape(n * degree, -1)  # R^T M^T R
 
-    def derivative_moments(self, components: np.ndarray, rows: np.ndarray, means: np.ndarray,
-                           covariance: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def derivative_moments(self, moments: RowMoments, weights: np.ndarray) -> np.ndarray:
         """(n, n) G with G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik] off the diagonal, t = y / radius.
 
-        `components` is the (n, N) array of the rows y_i, `rows` the centred
-        Ubar of `evaluate` (n d, N), `means` U's row means (n d,),
-        `covariance` S = Ubar Ubar^T / N and `weights` an (n d, n d) array W
-        of d x d blocks W_ic. E is the mean over the N samples, and the
-        diagonal, which no plane's slope uses, is 0. G_ij is
-        sum_c <D^T W_ic, X_c> with X_c[a, l] = E[T_a(t_i) t_j Ubar_cl]. For
-        c = j and c = i the products t_j T_l(t_j) and T_a(t_i) T_l(t_i)
-        reduce X_c to the pair moments P_ab = E[T_a(t_i) T_b(t_j)], which are
-        S_ij + mu_i mu_j^T bordered by T_0 = 1, and to E[T_a(t_i) t_j T_d(t_j)]
-        and E[T_a(t_i) T_d(t_i) t_j], products of the rows with n + n^2
-        vectors over the samples. A third component c, at n >= 3, needs the
-        rows themselves: one pass of (n - 1) d^2 N per i applies D^T W_ic to
-        every c != i, and the partner term, which that pass repeats, is
-        taken back out.
+        `moments` is what `row_moments` left of the rows U, Ubar = U - mu 1^T
+        their centred form, and `weights` an (n d, n d) array W of d x d
+        blocks W_ic. E is the mean over the N samples, and the diagonal,
+        which no plane's slope uses, is 0. G_ij is E[t_j h_i] for
+        h_i = sum_a T_a(t_i) sum_c (D^T W_ic Ubar_c)_a. At n >= 3 that is one
+        product per component of D^T [W_i1 .. W_in] with all the uncentred
+        rows, n^2 d^2 N in all, with the means entering as a rank-one
+        correction through the pair moments
+        P_ab = E[T_a(t_i) T_b(t_j)], which are S_ij + mu_i mu_j^T bordered by
+        T_0 = 1. At n = 2 there is no third component, and G_ij is
+        sum_c <D^T W_ic, X_c> for c = i, j, X_c[a, l] = E[T_a(t_i) t_j Ubar_cl]:
+        the products t_j T_l(t_j) and T_a(t_i) T_l(t_i) reduce X_c to P and
+        to `partner_top` and `own_top`, with no sum over the samples.
         """
-        n, size = components.shape
-        d = self.degree
-        rows, means = rows.reshape(n, d, size), means.reshape(n, d)
-        scale = 1.0 / (size * self.radius)  # E[t_j v] = scale * sum over samples of y_j v
+        n, d = moments.means.shape
+        means = moments.means
         dw_rows = self.derivative.T @ weights.reshape(n, d, n * d)  # [i] = D^T [W_i1 .. W_in]
-        dw = dw_rows.reshape(n, d, n, d).swapaxes(1, 2)  # [i, c] = D^T W_ic
+        # [i, j, a, b] = P_ab for a, b = 1..d
+        products = moments.covariance.reshape(n, d, n, d).swapaxes(1, 2)
+        products = products + means[:, None, :, None] * means[None, :, None]
+        if n > 2:
+            rows, components = moments.rows, moments.components
+            size = components.shape[1]
+            flat = rows.reshape(d * n, size)
+            # [i, a, (l, c)] = (D^T W_ic)_al, in the order of the degree-major rows
+            dw_all = dw_rows.reshape(n, d, n, d).swapaxes(2, 3).reshape(n, d, d * n)
+            h = np.empty((n, size))
+            for i in range(n):
+                x = dw_all[i] @ flat  # sum_c D^T W_ic U_c
+                h[i] = x[0] + np.einsum("an,an->n", x[1:], rows[:-1, i])
+            result = h @ components.T
+            result /= size * self.radius
+            # x holds sum_c D^T W_ic mu_c in excess in every sample, which adds
+            # sum_a excess_ia P_a1 to G_ij
+            excess = dw_rows @ means.ravel()
+            first = np.empty((n, n, d))  # P_a1, a = 0..d-1
+            first[..., 0] = means[:, 0]
+            first[..., 1:] = products[..., :-1, 0]
+            result -= np.einsum("ija,ia->ij", first, excess)
+            np.fill_diagonal(result, 0.0)
+            return result
         pair = np.empty((n, n, d + 1, d + 2))  # [i, j, a, b] = P_ab, a = 0..d, b = 0..d+1
         pair[..., 0, 0] = 1.0
         pair[..., 0, 1:-1] = means
         pair[..., 1:, 0] = means[:, None]
-        pair[..., 1:, 1:-1] = covariance.reshape(n, d, n, d).swapaxes(1, 2)
-        pair[..., 1:, 1:-1] += means[:, None, :, None] * means[None, :, None]
-        top = rows[:, -1] + means[:, -1:]  # T_d(t_i)
-        # sums over the samples of Ubar_ia t_j T_d(t_j) and of Ubar_ia T_d(t_i) t_j, [i, a, j]
-        partner_top = (rows.reshape(n * d, size) @ (components * top).T).reshape(n, d, n)
-        own_top = np.matmul(rows, (top[:, None] * components[None]).swapaxes(1, 2))
-        # their means: E[t_j T_d(t_j)] = P_1d of the pair (j, j) and E[T_d(t_i) t_j] = P_d1
-        partner_top_mean = pair[np.arange(n), np.arange(n), 1, d]
-        own_top_mean = pair[..., d, 1]
-        # T_(d+1) = 2 t T_d - T_(d-1), in the pair's last column
-        pair[..., 0, -1] = 2.0 * partner_top_mean
-        pair[..., 1:, -1] = 2.0 * (scale * partner_top.swapaxes(1, 2)
-                                   + means[:, None] * partner_top_mean[:, None])
+        pair[..., 1:, 1:-1] = products
+        dw = dw_rows.reshape(n, d, n, d).swapaxes(1, 2)  # [i, c] = D^T W_ic
+        # T_(d+1) = 2 t T_d - T_(d-1), in the pair's last column; E[t_j T_d(t_j)] = P_1d of (j, j)
+        pair[..., 0, -1] = 2.0 * pair[np.arange(n), np.arange(n), 1, d]
+        pair[..., 1:, -1] = 2.0 * moments.partner_top.swapaxes(1, 2)
         pair[..., -1] -= pair[..., d - 1]
         partner = 0.5 * (pair[..., :d, 2:] + pair[..., :d, :d])
         partner -= pair[..., :d, 1, None] * means[None, :, None]
-        partner_terms = np.einsum("ijal,ijal->ij", dw, partner)
         # q_c = E[T_c(t_i) t_j], c = 0..2d-1, with T_(d+a) = 2 T_d T_a - T_(d-a)
         q = np.empty((n, n, 2 * d))
         q[..., :d + 1] = pair[..., 1]
-        q[..., d + 1:] = 2.0 * (scale * own_top.swapaxes(1, 2)[..., :d - 1]
-                                + means[:, None, :d - 1] * own_top_mean[..., None])
+        q[..., d + 1:] = 2.0 * moments.own_top.swapaxes(1, 2)[..., :d - 1]
         q[..., d + 1:] -= q[..., d - 1:0:-1]
         # <D^T W_ii, (q_(a+l) + q_|a-l|) / 2 - q_a mu_il>, with the sums of D^T W_ii
         # over the entries of equal a + l and of equal |a - l| taken first
@@ -260,20 +348,11 @@ class ChebyshevBasis:
         diagonal_sums = np.stack([np.bincount(self._sums.ravel(), block.ravel(), 2 * d)
                                   + np.bincount(self._differences.ravel(), block.ravel(), 2 * d)
                                   for block in own])
-        moments = partner_terms + 0.5 * np.einsum("ijc,ic->ij", q, diagonal_sums)
-        moments -= np.einsum("ija,ia->ij", q[..., :d], np.einsum("ial,il->ia", own, means))
-        if n > 2:  # third components; at n = 2 this pass would repeat the partner terms alone
-            flat = rows.reshape(n * d, size)
-            for i in range(n):
-                # h_i(s) = sum_a T_a(t_i(s)) sum_(c != i) (D^T W_ic Ubar_c)_a(s), and
-                # G_ij += E[t_j h_i] less the partner term c = j
-                x = dw_rows[i, :, :i * d] @ flat[:i * d]
-                x += dw_rows[i, :, (i + 1) * d:] @ flat[(i + 1) * d:]
-                h = x[0] + np.einsum("an,an->n", rows[i, :-1], x[1:])
-                h += means[i, :-1] @ x[1:]
-                moments[i] += scale * (components @ h) - partner_terms[i]
-        np.fill_diagonal(moments, 0.0)
-        return moments
+        result = np.einsum("ijal,ijal->ij", dw, partner)
+        result += 0.5 * np.einsum("ijc,ic->ij", q, diagonal_sums)
+        result -= np.einsum("ija,ia->ij", q[..., :d], np.einsum("ial,il->ia", own, means))
+        np.fill_diagonal(result, 0.0)
+        return result
 
 
 def gram_matrix(kernel: KernelSpec, data: Dataset) -> np.ndarray:

@@ -383,6 +383,24 @@ def test_slopes_at_the_evaluated_rotation_allocate_no_row_array(contrast):
     assert peak < 0.5 * objective.basis.degree * n_samples * 8
 
 
+@pytest.mark.parametrize("contrast", ["rgv", "rcc"])
+def test_evaluation_keeps_no_row_array_at_two_components(contrast):
+    # at n = 2 what an evaluation keeps for the slopes is its Gram, its means
+    # and its rows' products with 2 + 2n vectors over the samples: the memory
+    # it leaves allocated stays below half of one (d, N) array of rows
+    n_samples = 4096
+    data = whitened_uniform_pair(n_samples, seed=12)
+    objective = make_objective(data, OptimizerConfig(seed=3, contrast=contrast))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        objective(rotation(0.3))
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert kept < 0.5 * objective.basis.degree * n_samples * 8
+
+
 def test_slopes_do_not_depend_on_the_last_evaluation():
     data = whitened_uniform_pair(500, seed=3)
     for contrast in ("rgv", "rcc"):

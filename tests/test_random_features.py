@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.chebyshev import chebder
 
-from rica.data_model import Dataset
+from rica.contrast_engine import CovariancePencil, rcc, rgv
+from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import DimensionMismatch
+from rica.optimizer import OptimizerConfig, make_objective
 from rica.random_features import (ChebyshevBasis, FeatureMap, KernelSpec, apply_feature_map,
                                   approximation_error_bound, chebyshev_coefficients,
                                   chebyshev_degree, chebyshev_derivative, draw_feature_map,
                                   empirical_approx_error, gram_matrix, operator_norm)
+from rica.source_bank import sample_source, spec_by_label
 
 
 def gaussian_kernel(x, y, sigma=1.0):
@@ -264,26 +267,84 @@ def test_derivative_matrix_rows_are_chebder_of_unit_vectors(degree):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("frequency_scale", [1e-9, 1e-4, 0.3, 3.0])  # degrees 1, 2-4, ~11-20, ~70
+@pytest.mark.parametrize("frequency_scale", [1e-9, 1e-7, 1e-4, 0.3, 3.0])  # d 1, 2, 4, ~20, ~65
 def test_derivative_moments_equal_the_direct_sum(n, frequency_scale):
     # G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik] formed over the samples, with
-    # T_k' from D, against the moment form; the diagonal is 0
+    # T_k' from D, against the moment form taken from `row_moments`; the
+    # diagonal is 0. At d = 1 and 2 the moments' Hankel index 2d and the
+    # reflection T_(d+a) = 2 T_d T_a - T_(d-a) reach down to T_0
     rng = np.random.default_rng(n)
     maps = [FeatureMap(frequency_scale * rng.standard_normal((8, 1)), rng.uniform(0, 2 * np.pi, 8))
             for _ in range(n)]
     basis = ChebyshevBasis(maps, radius=4.0)
     d, size = basis.degree, 300
+    assert d == {1e-9: 1, 1e-7: 2, 1e-4: 4}.get(frequency_scale, d)
     y = rng.uniform(-4.0, 4.0, (n, size))
-    rows = basis.evaluate(y)
-    means = rows.mean(axis=1)
-    rows -= means[:, None]
     weights = rng.standard_normal((n * d, n * d))
     weights += weights.T
-    moments = basis.derivative_moments(y, rows, means, rows @ rows.T / size, weights)
-    uncentred = (rows + means[:, None]).reshape(n, d, size)
-    lower = np.concatenate([np.ones((n, 1, size)), uncentred[:, :-1]], axis=1)  # T_0..T_(d-1)
+    moments = basis.derivative_moments(basis.row_moments(y), weights)
+    rows = basis.evaluate(y)
+    centred = rows - rows.mean(axis=1, keepdims=True)
+    lower = np.concatenate([np.ones((n, 1, size)), rows.reshape(n, d, size)[:, :-1]],
+                           axis=1)  # T_0..T_(d-1)
     slopes = np.einsum("ka,ian->ikn", basis.derivative, lower)  # T_k'(t_i)
     direct = np.einsum("jn,ikn->ij", y / basis.radius,
-                       slopes * (weights @ rows).reshape(n, d, size)) / size
+                       slopes * (weights @ centred).reshape(n, d, size)) / size
     np.fill_diagonal(direct, 0.0)
     assert np.abs(moments - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def long_double_covariance(t, degree):
+    """cov of T_1..T_d(t) for the rows of t, centred and summed in long double."""
+    t = t.astype(np.longdouble)
+    rows = np.empty((len(t), degree, t.shape[1]), dtype=np.longdouble)
+    rows[:, 0] = t
+    previous = 1
+    for k in range(1, degree):
+        rows[:, k] = 2 * t * rows[:, k - 1] - previous
+        previous = rows[:, k - 1]
+    rows -= rows.mean(axis=2, keepdims=True)
+    covariance = np.empty((len(t), degree, len(t), degree), dtype=np.longdouble)
+    for i in range(len(t)):
+        for j in range(i, len(t)):
+            covariance[i, :, j] = np.einsum("an,bn->ab", rows[i], rows[j]) / t.shape[1]
+            covariance[j, :, i] = covariance[i, :, j].T
+    return covariance.reshape(len(t) * degree, -1)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18, reason="long double is no wider here")
+@pytest.mark.parametrize("n, size", [(2, 1000), (2, 2048), (3, 1000), (3, 2048)])
+def test_row_moments_covariance_against_a_long_double_gram(n, size):
+    # S from moments and uncentred products, against the centred Gram of the
+    # same t in long double, over 40 rotations of c,b data: entries within
+    # 1e-12 of sqrt(S_aa S_bb); RGV within twice the worst error of the
+    # centred product in double, RCC within 5e-14 relative
+    labels = ("c", "b", "c")[:n]
+    sources = np.vstack([sample_source(spec_by_label(label), size, seed=700 + k)
+                         for k, label in enumerate(labels)])
+    data, _ = whiten(mix(Dataset(sources), random_mixing_matrix(n, 1.0, 2.0, seed=n)))
+    config = OptimizerConfig(seed=5)
+    basis = make_objective(data, config).basis
+    rng = np.random.default_rng(size + n)
+    worst = {"entries": 0.0, "rgv": 0.0, "rgv centred": 0.0, "rcc": 0.0}
+    for _ in range(40):
+        q, r = np.linalg.qr(rng.standard_normal((n, n)))
+        y = (q * np.sign(np.diag(r))) @ data.values
+        covariance = basis.row_moments(y).covariance
+        reference = long_double_covariance(y / basis.radius, basis.degree)
+        scale = np.sqrt(np.outer(np.diag(reference), np.diag(reference)))
+        error = float(np.max(np.abs(covariance - reference) / scale))
+        worst["entries"] = max(worst["entries"], error)
+        rows = basis.evaluate(y)
+        rows -= rows.mean(axis=1, keepdims=True)
+        centred = rows @ rows.T / size
+        for contrast, forms in ((rgv, {"rgv": covariance, "rgv centred": centred}),
+                                (rcc, {"rcc": covariance})):
+            exact = contrast(CovariancePencil(basis.compress(reference.astype(float)),
+                                              config.gamma, n)).value
+            for name, form in forms.items():
+                value = contrast(CovariancePencil(basis.compress(form), config.gamma, n)).value
+                worst[name] = max(worst[name], abs(value - exact) / abs(exact))
+    assert worst["entries"] <= 1e-12
+    assert worst["rgv"] <= 2.0 * worst["rgv centred"]
+    assert worst["rcc"] <= 5e-14
