@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -55,7 +56,7 @@ def _write_lines(path: str, header: str, lines: list[str]) -> None:
             handle.write(line + "\n")
 
 
-# argparse `type=` functions: a malformed list exits 1 naming its argument.
+# argparse `type=` functions: a malformed list or number exits 1 naming its argument.
 
 def _tokens(text: str) -> list[str]:
     return [token.strip().lower() for token in text.split(",")]
@@ -71,11 +72,21 @@ def _methods_arg(text: str) -> tuple[str, ...]:
     return tuple(_method(token, METHOD_TOKENS) for token in _tokens(text))
 
 
+def _int(text: str, minimum: int) -> int:
+    if not (text.strip().isdecimal() and int(text) >= minimum):
+        raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {text!r}")
+    return int(text)
+
+
 def _ints(text: str, minimum: int, separator: str = ",") -> tuple[int, ...]:
-    tokens = text.split(separator)
-    if not all(token.strip().isdecimal() and int(token) >= minimum for token in tokens):
-        raise argparse.ArgumentTypeError(f"expected integers >= {minimum}, got {text!r}")
-    return tuple(int(token) for token in tokens)
+    return tuple(_int(token, minimum) for token in text.split(separator))
+
+
+def _positive(text: str) -> float:
+    value = float(text)  # argparse reports a ValueError as an invalid value
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
+    return value
 
 
 def _plan_arg(text: str) -> dict[str, tuple[int, ...]]:
@@ -236,7 +247,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=helptext, description=helptext)
         p.set_defaults(func=func)
         if seeded:
-            p.add_argument("--seed", type=int, required=True,
+            p.add_argument("--seed", type=lambda text: _int(text, 0), required=True,
                            help="master seed (required; all randomness derives from it)")
         return p
 
@@ -260,25 +271,25 @@ def build_parser() -> _Parser:
     p.add_argument("--plan", type=_plan_arg,
                    default="rgv:4000+8000+16000+32000+64000,kgv:250+500+1000",
                    help=f"method:N+N+... pairs, comma separated; methods: {','.join(CONTRASTS)}")
-    p.add_argument("--reps", type=int, default=5)
+    p.add_argument("--reps", type=lambda text: _int(text, 1), default=5)
     p.add_argument("--out", default="scaling.csv")
 
     p = add("sweep", _cmd_sweep, "contrast value versus unmixing angle")
     p.add_argument("--sources", type=lambda text: _labels_arg(text, 2), required=True,
                    help="two catalog labels 'c,b'")
-    p.add_argument("--n", type=int, default=1000)
+    p.add_argument("--n", type=lambda text: _int(text, 2), default=1000)
     p.add_argument("--contrast", choices=CONTRASTS, default="rgv")
-    p.add_argument("--grid", type=float, default=1.0, help="grid step in degrees")
+    p.add_argument("--grid", type=_positive, default=1.0, help="grid step in degrees")
     p.add_argument("--mix-angle", type=float, default=30.0,
                    help="mixing rotation in degrees; minimum expected at (-angle) mod 90")
     p.add_argument("--out", default="sweep.csv")
     _common_contrast_flags(p)
 
     p = add("kernel-bound", _cmd_kernel_bound, "empirical vs analytic feature-map error")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    p.add_argument("--n", type=lambda text: _int(text, 2), default=1000)
+    p.add_argument("--sigma", type=_positive, default=DEFAULT_SIGMA)
     p.add_argument("--m-list", type=lambda text: _ints(text, 1), default="100,200,400,800,1600")
-    p.add_argument("--seeds", type=int, default=10)
+    p.add_argument("--seeds", type=lambda text: _int(text, 1), default=10)
     p.add_argument("--out", default="kernel_bound.csv")
 
     p = add("unmix", _cmd_unmix, "unmix a CSV dataset, write the model as JSON")
@@ -286,12 +297,12 @@ def build_parser() -> _Parser:
     p.add_argument("--contrast", default="rgv",
                    choices=[c for c in CONTRASTS if c not in KERNEL_CONTRASTS])
     p.add_argument("--init", choices=INITS, default="fastica")
-    p.add_argument("--restarts", type=int, default=3)
+    p.add_argument("--restarts", type=lambda text: _int(text, 1), default=3)
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out", default=None, help="optional CSV of unmixed data")
-    p.add_argument("--m", type=int, default=DEFAULT_M)
+    p.add_argument("--m", type=lambda text: _int(text, 1), default=DEFAULT_M)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    p.add_argument("--sigma", type=_positive, default=DEFAULT_SIGMA)
 
     p = add("separate", _cmd_separate, "separate two WAV clips")
     p.add_argument("--in1", required=True)
@@ -299,29 +310,29 @@ def build_parser() -> _Parser:
     p.add_argument("--method", choices=CONTRASTS, default="rgv")
     p.add_argument("--already-mixed", action="store_true",
                    help="treat inputs as recorded mixtures (no ground truth)")
-    p.add_argument("--fit-samples", type=int, default=8000)
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--fit-samples", type=lambda text: _int(text, 2), default=8000)
+    p.add_argument("--max-iters", type=lambda text: _int(text, 1), default=50)
     p.add_argument("--out-prefix", default="unmixed")
     _common_contrast_flags(p)
     return parser
 
 
 def _bench_flags(p, reps: int, out: str) -> None:
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--reps", type=int, default=reps)
+    p.add_argument("--n", type=lambda text: _int(text, 2), default=1000)
+    p.add_argument("--reps", type=lambda text: _int(text, 1), default=reps)
     p.add_argument("--methods", type=_methods_arg, default="fastica,rgv",
                    help=f"comma list from {','.join(METHOD_TOKENS)}")
     p.add_argument("--out", default=out)
-    p.add_argument("--restarts", type=int, default=1)
-    p.add_argument("--max-iters", type=int, default=50)
+    p.add_argument("--restarts", type=lambda text: _int(text, 1), default=1)
+    p.add_argument("--max-iters", type=lambda text: _int(text, 1), default=50)
     _common_contrast_flags(p)
 
 
 def _common_contrast_flags(p) -> None:
-    p.add_argument("--m", type=int, default=DEFAULT_M)
+    p.add_argument("--m", type=lambda text: _int(text, 1), default=DEFAULT_M)
     p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
     p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
-    p.add_argument("--sigma", type=float, default=DEFAULT_SIGMA)
+    p.add_argument("--sigma", type=_positive, default=DEFAULT_SIGMA)
 
 
 def main(argv=None) -> int:

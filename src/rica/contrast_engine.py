@@ -65,12 +65,17 @@ class CovariancePencil:
     row-centered features Zbar; `blocks` views it with shape (n_s, n_s, m, m),
     blocks[i, j] = (1/N) * sum_k zbar(x_i^k) zbar(x_j^k)^T. Zbar may be the
     features' coordinates in any orthonormal basis of their span, which
-    changes no contrast.
+    changes no contrast. A pencil exists only for gamma > 0, so no contrast
+    checks gamma again: any other gamma, NaN included, raises SingularDiagonal.
     """
 
     matrix: np.ndarray
     gamma: float
     n_s: int
+
+    def __post_init__(self):
+        if not self.gamma > 0:
+            raise SingularDiagonal(f"the pencil needs gamma > 0, got {self.gamma}; increase gamma")
 
     @property
     def m(self) -> int:
@@ -139,8 +144,6 @@ def solve_pencil(pencil: CovariancePencil) -> np.ndarray:
         If any regularized diagonal block is numerically singular, which
         signals that gamma is too small for the data.
     """
-    if pencil.gamma <= 0:
-        raise SingularDiagonal("solve_pencil requires gamma > 0")
     blocks = pencil.blocks
     inv_sqrts = []
     for i in range(pencil.n_s):
@@ -196,11 +199,6 @@ def _lower_inverse(factor: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _inverse_from_cholesky(factor: np.ndarray) -> np.ndarray:
-    inverse = _lower_inverse(factor)
-    return inverse.T @ inverse
-
-
 def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray]) -> np.ndarray:
     """M = (C + gamma I)^-1 - blockdiag((C_ii + gamma I)^-1).
 
@@ -213,7 +211,8 @@ def _rgv_weights(factor: np.ndarray, block_factors: list[np.ndarray]) -> np.ndar
     weights = inverse.T @ inverse
     weights[:m, :m] -= inverse[:m, :m].T @ inverse[:m, :m]
     for i, block in enumerate(block_factors[1:], 1):
-        weights[i * m:(i + 1) * m, i * m:(i + 1) * m] -= _inverse_from_cholesky(block)
+        block_inverse = _lower_inverse(block)
+        weights[i * m:(i + 1) * m, i * m:(i + 1) * m] -= block_inverse.T @ block_inverse
     return weights
 
 
@@ -255,11 +254,9 @@ def rcc(pencil: CovariancePencil) -> ContrastEvaluation:
     Raises
     ------
     SingularDiagonal
-        If gamma <= 0, a regularized diagonal block is not numerically
-        positive definite, or mu_min is below EIGENVALUE_FLOOR.
+        If a regularized diagonal block is not numerically positive
+        definite, or mu_min is below EIGENVALUE_FLOOR.
     """
-    if pencil.gamma <= 0:
-        raise SingularDiagonal("rcc requires gamma > 0; increase gamma")
     blocks, regularizer = pencil.blocks, pencil.gamma * np.eye(pencil.m)
     inverses = [_lower_inverse(_cholesky(blocks[i, i] + regularizer)) for i in range(pencil.n_s)]
     if pencil.n_s == 2:
@@ -278,19 +275,14 @@ def rgv(pencil: CovariancePencil) -> ContrastEvaluation:
 
     Computed as 1/2 (sum_i log det(C_ii + gamma I) - log det(C + gamma I)),
     which equals the pencil form because det B = det(C + gamma I) / det D.
-
-    Raises
-    ------
-    SingularDiagonal
-        If gamma <= 0 or a regularized matrix is not numerically positive
-        definite, which signals that gamma is too small for the data.
+    The Cholesky factor of C + gamma I leads with that of C_11 + gamma I, so
+    an evaluation takes n_s factorisations. One that fails raises
+    SingularDiagonal: gamma is too small for the data.
     """
-    if pencil.gamma <= 0:
-        raise SingularDiagonal("rgv requires gamma > 0; increase gamma")
     m, matrix = pencil.m, pencil.matrix + pencil.gamma * np.eye(len(pencil.matrix))
-    block_factors = [_cholesky(matrix[i * m:(i + 1) * m, i * m:(i + 1) * m])
-                     for i in range(pencil.n_s)]
     factor = _cholesky(matrix)
+    block_factors = [factor[:m, :m]] + [_cholesky(matrix[i * m:(i + 1) * m, i * m:(i + 1) * m])
+                                        for i in range(1, pencil.n_s)]
     value = 0.5 * (sum(_log_det(block) for block in block_factors) - _log_det(factor))
     return ContrastEvaluation(value, partial(_rgv_weights, factor, block_factors))
 

@@ -16,23 +16,16 @@ RCC and RGV work in a Chebyshev basis of their feature maps' span
 (`random_features.ChebyshevBasis`): every component of an orthogonal Q lies
 in [-rho, rho], rho the largest sample norm, where the m features of a
 component are a fixed m x d map of T_1..T_d(y / rho), d about 45 at the
-default sigma, to within 2^-52 of their amplitude. An evaluation forms those
-d rows by recurrence, with no trigonometric function, and hands the contrast
-a pencil of n min(m, d) rows in place of the features' n m, with the same
-value. `ChebyshevBasis.row_moments` reads the rows once and never centres
-them: the diagonal blocks of their Gram come from the 2d + 1 moments
-E[T_k(t_i)], and only the cross blocks from products over the samples.
-The slopes of RCC and RGV are closed-form: the value varies as
--1/2 tr(W dS) for the covariance S of the rows and W = R^T M R, the contrast's M over the
-pencil taken to the basis by `ChebyshevBasis.expand` (Bach & Jordan 2002),
-and moving Q along E_ij moves t_i = y_i / rho by -t_j dh and t_j by t_i dh
-(Edelman, Arias & Smith 1998), so g_ij = G_ij - G_ji with
-G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik], Ubar the centred rows.
-`ChebyshevBasis.derivative_moments` takes G from the evaluation at the same
-Q (in `descend` always the one just accepted): at n = 2 from its S and row
-means and the products its one read took with 2 + 2n vectors, with no sum
-over the samples; at n >= 3 from one pass of n^2 d^2 N over the uncentred
-rows, the means entering as a rank-one correction. The kernel oracles
+default sigma, to within 2^-52 of their amplitude. An evaluation hands the
+contrast a pencil of n min(m, d) rows in place of the features' n m, with
+the same value. Their slopes are closed-form: the value varies as
+-1/2 tr(W dS) for the covariance S of the rows and W = R^T M R, the
+contrast's M taken to the basis by `ChebyshevBasis.expand` (Bach & Jordan
+2002), and moving Q along E_ij moves t_i = y_i / rho by -t_j dh and t_j by
+t_i dh (Edelman, Arias & Smith 1998), so g_ij = G_ij - G_ji with
+G_ij = E[t_j sum_k T_k'(t_i) (W Ubar)_ik], Ubar the centred rows, which
+`ChebyshevBasis.derivative_moments` takes from what the evaluation at the
+same Q (in `descend` always the one just accepted) left. The kernel oracles
 take central differences, two evaluations per plane; `finite_diff_gradient`
 keeps them as the test oracle for every contrast.
 
@@ -214,9 +207,10 @@ class _FeatureObjective(Objective):
     `ContrastEvaluation`) for the slopes at that q, which take W =
     `basis.expand` of the contrast's M and those moments to
     `ChebyshevBasis.derivative_moments` and evaluate no cosine or sine. At
-    n = 2 what it keeps holds nothing of size N; at n >= 3 it holds the rows,
-    which the slopes' pass reads. The next evaluation drops the kept one
-    before allocating, and the slopes consume it, so at most one is alive.
+    n = 2 what it keeps holds nothing of size N; at n >= 3 it holds the rows
+    alone, T_1(t) = t standing for the components, for the slopes' pass. The
+    next evaluation drops the kept one before allocating, and the slopes
+    consume it, so at most one is alive.
     """
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):

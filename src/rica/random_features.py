@@ -134,18 +134,17 @@ class RowMoments:
 
     E is the mean over the N samples. `covariance` is S = cov(U), (n d, n d),
     U the rows stacked component by component, and `means` U's row means,
-    (n, d). The slopes at n = 2 take `partner_top` and `own_top`, (n, d, n),
+    (n, d). The slopes at n = 2 take `partner_top` and `own_top`, (n, d),
     which hold E[T_a(t_i) t_j T_d(t_j)] and E[T_a(t_i) T_d(t_i) t_j] for
-    a = 1..d, and keep nothing of size N. At n >= 3 they take instead the
-    (n, N) components and the rows themselves, degree-major: `rows[k - 1, i]`
-    is T_k(t_i).
+    a = 1..d and the other component j = 1 - i, and keep nothing of size N.
+    At n >= 3 they take instead the rows themselves, degree-major:
+    `rows[k - 1, i]` is T_k(t_i), so `rows[0]` holds the components t.
     """
 
     covariance: np.ndarray
     means: np.ndarray
     partner_top: np.ndarray | None = None
     own_top: np.ndarray | None = None
-    components: np.ndarray | None = None
     rows: np.ndarray | None = None
 
 
@@ -225,9 +224,10 @@ class ChebyshevBasis:
         moment p_k = E[T_k(t_i)], k <= 2d, by T_(d+a) = 2 T_d T_a - T_(d-a);
         the diagonal block S_ii[a, b] = (p_(a+b) + p_|a-b|) / 2 - mu_ia mu_ib
         takes no product over the samples. At n = 2 the same product also
-        takes the 2n vectors y_j T_d(t_j) and T_d(t_i) y_j of `partner_top`
-        and `own_top`. Each cross block S_ij, i < j, is one product of the
-        two components' rows, less mu_i mu_j^T.
+        takes, for the other component j = 1 - i only, the vectors
+        y_j T_d(t_j) and T_d(t_i) y_j of `partner_top` and `own_top`. Each
+        cross block S_ij, i < j, is one product of the two components' rows,
+        less mu_i mu_j^T.
         """
         n, size = components.shape
         d = self.degree
@@ -237,12 +237,12 @@ class ChebyshevBasis:
         self._recurrence(components, steps)
         rows = steps.swapaxes(0, 1)
         top = steps[-1]  # T_d(t_i)
-        vectors = np.empty((n, 2 + 2 * n if n == 2 else 2, size))
+        vectors = np.empty((n, 4 if n == 2 else 2, size))
         vectors[:, 0] = 1.0
         vectors[:, 1] = top
-        if n == 2:
-            np.multiply(components, top, out=vectors[:, 2:2 + n])
-            np.multiply(top[:, None], components, out=vectors[:, 2 + n:])
+        if n == 2:  # row i of components[::-1] is y_j, j = 1 - i
+            np.multiply(components[::-1], top[::-1], out=vectors[:, 2])
+            np.multiply(top, components[::-1], out=vectors[:, 3])
         sums = np.matmul(rows, vectors.swapaxes(1, 2))  # [i, a, v]
         sums /= size
         means = sums[..., 0]
@@ -263,9 +263,9 @@ class ChebyshevBasis:
         covariance = second.reshape(n * d, n * d)
         covariance -= np.multiply.outer(means.ravel(), means.ravel())
         if n == 2:
-            return RowMoments(covariance, means, sums[..., 2:2 + n] / self.radius,
-                              sums[..., 2 + n:] / self.radius)
-        return RowMoments(covariance, means, components=components, rows=steps)
+            return RowMoments(covariance, means, sums[..., 2] / self.radius,
+                              sums[..., 3] / self.radius)
+        return RowMoments(covariance, means, rows=steps)
 
     def compress(self, covariance: np.ndarray) -> np.ndarray:
         """R S R^T for an (n d, n d) matrix S over U."""
@@ -290,10 +290,10 @@ class ChebyshevBasis:
         which no plane's slope uses, is 0. G_ij is E[t_j h_i] for
         h_i = sum_a T_a(t_i) sum_c (D^T W_ic Ubar_c)_a. At n >= 3 that is one
         product per component of D^T [W_i1 .. W_in] with all the uncentred
-        rows, n^2 d^2 N in all, with the means entering as a rank-one
-        correction through the pair moments
+        rows, then one with their first degree t, with the means entering as
+        a rank-one correction through the pair moments
         P_ab = E[T_a(t_i) T_b(t_j)], which are S_ij + mu_i mu_j^T bordered by
-        T_0 = 1. At n = 2 there is no third component, and G_ij is
+        T_0 = 1. At n = 2 only j = 1 - i is formed, and G_ij is
         sum_c <D^T W_ic, X_c> for c = i, j, X_c[a, l] = E[T_a(t_i) t_j Ubar_cl]:
         the products t_j T_l(t_j) and T_a(t_i) T_l(t_i) reduce X_c to P and
         to `partner_top` and `own_top`, with no sum over the samples.
@@ -305,8 +305,8 @@ class ChebyshevBasis:
         products = moments.covariance.reshape(n, d, n, d).swapaxes(1, 2)
         products = products + means[:, None, :, None] * means[None, :, None]
         if n > 2:
-            rows, components = moments.rows, moments.components
-            size = components.shape[1]
+            rows = moments.rows
+            size = rows.shape[2]
             flat = rows.reshape(d * n, size)
             # [i, a, (l, c)] = (D^T W_ic)_al, in the order of the degree-major rows
             dw_all = dw_rows.reshape(n, d, n, d).swapaxes(2, 3).reshape(n, d, d * n)
@@ -314,8 +314,8 @@ class ChebyshevBasis:
             for i in range(n):
                 x = dw_all[i] @ flat  # sum_c D^T W_ic U_c
                 h[i] = x[0] + np.einsum("an,an->n", x[1:], rows[:-1, i])
-            result = h @ components.T
-            result /= size * self.radius
+            result = h @ rows[0].T
+            result /= size
             # x holds sum_c D^T W_ic mu_c in excess in every sample, which adds
             # sum_a excess_ia P_a1 to G_ij
             excess = dw_rows @ means.ravel()
@@ -325,34 +325,34 @@ class ChebyshevBasis:
             result -= np.einsum("ija,ia->ij", first, excess)
             np.fill_diagonal(result, 0.0)
             return result
-        pair = np.empty((n, n, d + 1, d + 2))  # [i, j, a, b] = P_ab, a = 0..d, b = 0..d+1
-        pair[..., 0, 0] = 1.0
-        pair[..., 0, 1:-1] = means
-        pair[..., 1:, 0] = means[:, None]
-        pair[..., 1:, 1:-1] = products
+        mine, other = [0, 1], [1, 0]  # i and j = 1 - i
+        pair = np.empty((n, d + 1, d + 2))  # [i, a, b] = P_ab of (i, j), a = 0..d, b = 0..d+1
+        pair[:, 0, 0] = 1.0
+        pair[:, 0, 1:-1] = means[other]
+        pair[:, 1:, 0] = means
+        pair[:, 1:, 1:-1] = products[mine, other]
         dw = dw_rows.reshape(n, d, n, d).swapaxes(1, 2)  # [i, c] = D^T W_ic
         # T_(d+1) = 2 t T_d - T_(d-1), in the pair's last column; E[t_j T_d(t_j)] = P_1d of (j, j)
-        pair[..., 0, -1] = 2.0 * pair[np.arange(n), np.arange(n), 1, d]
-        pair[..., 1:, -1] = 2.0 * moments.partner_top.swapaxes(1, 2)
+        pair[:, 0, -1] = 2.0 * products[other, other, 0, -1]
+        pair[:, 1:, -1] = 2.0 * moments.partner_top
         pair[..., -1] -= pair[..., d - 1]
-        partner = 0.5 * (pair[..., :d, 2:] + pair[..., :d, :d])
-        partner -= pair[..., :d, 1, None] * means[None, :, None]
+        partner = 0.5 * (pair[:, :d, 2:] + pair[:, :d, :d])
+        partner -= pair[:, :d, 1, None] * means[other][:, None]
         # q_c = E[T_c(t_i) t_j], c = 0..2d-1, with T_(d+a) = 2 T_d T_a - T_(d-a)
-        q = np.empty((n, n, 2 * d))
-        q[..., :d + 1] = pair[..., 1]
-        q[..., d + 1:] = 2.0 * moments.own_top.swapaxes(1, 2)[..., :d - 1]
-        q[..., d + 1:] -= q[..., d - 1:0:-1]
+        q = np.empty((n, 2 * d))
+        q[:, :d + 1] = pair[..., 1]
+        q[:, d + 1:] = 2.0 * moments.own_top[:, :d - 1]
+        q[:, d + 1:] -= q[:, d - 1:0:-1]
         # <D^T W_ii, (q_(a+l) + q_|a-l|) / 2 - q_a mu_il>, with the sums of D^T W_ii
         # over the entries of equal a + l and of equal |a - l| taken first
-        own = dw[np.arange(n), np.arange(n)]
+        own = dw[mine, mine]
         diagonal_sums = np.stack([np.bincount(self._sums.ravel(), block.ravel(), 2 * d)
                                   + np.bincount(self._differences.ravel(), block.ravel(), 2 * d)
                                   for block in own])
-        result = np.einsum("ijal,ijal->ij", dw, partner)
-        result += 0.5 * np.einsum("ijc,ic->ij", q, diagonal_sums)
-        result -= np.einsum("ija,ia->ij", q[..., :d], np.einsum("ial,il->ia", own, means))
-        np.fill_diagonal(result, 0.0)
-        return result
+        g = np.einsum("ial,ial->i", dw[mine, other], partner)  # G_ij, j = 1 - i
+        g += 0.5 * np.einsum("ic,ic->i", q, diagonal_sums)
+        g -= np.einsum("ia,ia->i", q[:, :d], np.einsum("ial,il->ia", own, means))
+        return np.array([[0.0, g[0]], [g[1], 0.0]])
 
 
 def gram_matrix(kernel: KernelSpec, data: Dataset) -> np.ndarray:

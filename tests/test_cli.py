@@ -189,11 +189,17 @@ def test_separate_end_to_end(tmp_path):
     assert (tmp_path / "out1.wav").exists() and (tmp_path / "out2.wav").exists()
 
 
-def test_runtime_error_exits_two(tmp_path):
+def test_runtime_error_exits_two(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     args = ["unmix", "--in", str(missing), "--seed", "1",
             "--out-model", str(tmp_path / "m.json")]
     assert run_cli(args) == 2
+    # a regularizer <= 0 is the contrast's error, not a usage error
+    sweep = ["sweep", "--sources", "c,b", "--n", "100", "--grid", "45", "--seed", "1",
+             "--out", str(tmp_path / "s.csv")]
+    for flags in (["--gamma", "0"], ["--contrast", "kgv", "--kappa", "-1"]):
+        assert run_cli(sweep + flags) == 2
+        assert "SingularDiagonal" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [
@@ -209,12 +215,28 @@ def test_runtime_error_exits_two(tmp_path):
     ["bench", "--pairs", "c,b", "--methods", "rgv,kgv_oracle"],
     ["sweep", "--sources", "c"],
     ["sweep", "--sources", "c,b,a"],
+    ["bench", "--pairs", "c,b", "--m", "0"],
+    ["bench", "--pairs", "c,b", "--max-iters", "0"],
+    ["bench", "--pairs", "c,b", "--restarts", "0"],
+    ["bench", "--pairs", "c,b", "--sigma", "0"],
+    ["bench", "--pairs", "c,b", "--reps", "0"],
+    ["bench", "--pairs", "c,b", "--n", "0"],
+    ["bench", "--pairs", "c,b", "--seed", "-1"],
+    ["sweep", "--sources", "c,b", "--grid", "0"],
+    ["sweep", "--sources", "c,b", "--sigma", "nan"],
+    ["kernel-bound", "--n", "1"],
+    ["kernel-bound", "--seeds", "0"],
+    ["scaling", "--reps", "0"],
+    ["unmix", "--in", "x.csv", "--restarts", "0"],
+    ["separate", "--in1", "a.wav", "--in2", "b.wav", "--fit-samples", "1"],
 ])
 def test_malformed_list_argument_is_a_usage_error(args, capsys):
-    # rejected by the parser, before any fit, naming the malformed (last) argument
+    # rejected by the parser, before any fit, naming the malformed (last)
+    # argument: a list, or a number out of its range
     assert run_cli(args + ["--seed", "1"]) == 1
-    last_line = capsys.readouterr().err.splitlines()[-1]
-    assert last_line.startswith(f"rica: error: argument {args[-2]}: ")
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"rica: error: argument {args[-2]}: ")
 
 
 def test_every_subcommand_takes_the_contrast_tokens():

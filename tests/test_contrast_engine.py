@@ -63,10 +63,11 @@ def test_covariance_blocks_rejects_mismatched_samples():
 
 
 def test_solve_pencil_requires_positive_gamma():
-    pencil = covariance_blocks([features(np.arange(5.0), 8, seed=1),
-                                features(np.arange(5.0), 8, seed=2)], gamma=0.0)
-    with pytest.raises(SingularDiagonal):
-        solve_pencil(pencil)
+    # the pencil itself refuses gamma <= 0, and NaN, before any solve
+    z = [features(np.arange(5.0), 8, seed=1), features(np.arange(5.0), 8, seed=2)]
+    for gamma in (0.0, -1.0, np.nan):
+        with pytest.raises(SingularDiagonal, match="increase gamma"):
+            solve_pencil(covariance_blocks(z, gamma=gamma))
 
 
 def test_contrasts_leave_the_pencil_matrix_unchanged():
@@ -106,9 +107,25 @@ def test_contrasts_of_the_chebyshev_pencil_equal_those_of_the_features(seed, n_s
 
 
 def test_rgv_requires_positive_gamma():
+    # NaN once gave rgv a nan value and rcc a bare LinAlgError
     z = [features(np.arange(5.0), 8, seed=1), features(np.arange(5.0), 8, seed=2)]
-    with pytest.raises(SingularDiagonal):
-        rgv(covariance_blocks(z, gamma=0.0))
+    for contrast in (rgv, rcc):
+        for gamma in (0.0, np.nan):
+            with pytest.raises(SingularDiagonal):
+                contrast(covariance_blocks(z, gamma=gamma))
+
+
+@pytest.mark.parametrize("n_s", [2, 3])
+def test_rgv_factors_each_diagonal_block_once(n_s, monkeypatch):
+    # the Cholesky factor of C + gamma I holds that of C_11 + gamma I as its
+    # leading block: n_s factorisations for the value and its weights
+    rng = np.random.default_rng(n_s)
+    pencil = covariance_blocks([features(rng.standard_normal(200), 12, seed=s)
+                                for s in range(n_s)], gamma=0.01)
+    calls, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a.shape) or cholesky(a))
+    rgv(pencil).weights()
+    assert calls == [(12 * n_s, 12 * n_s)] + [(12, 12)] * (n_s - 1)
 
 
 @settings(max_examples=25, deadline=None)

@@ -282,8 +282,16 @@ def test_derivative_moments_equal_the_direct_sum(n, frequency_scale):
     y = rng.uniform(-4.0, 4.0, (n, size))
     weights = rng.standard_normal((n * d, n * d))
     weights += weights.T
-    moments = basis.derivative_moments(basis.row_moments(y), weights)
+    row_moments = basis.row_moments(y)
+    moments = basis.derivative_moments(row_moments, weights)
     rows = basis.evaluate(y)
+    if n == 2:  # the tops, taken for the other component j = 1 - i only
+        t, upper = y / basis.radius, rows.reshape(n, d, size)
+        for top, vector in ((row_moments.partner_top, t[::-1] * upper[::-1, -1]),
+                            (row_moments.own_top, upper[:, -1] * t[::-1])):
+            direct = np.einsum("ian,in->ia", upper, vector) / size
+            assert top.shape == (n, d)
+            assert np.abs(top - direct).max() <= 1e-12 * np.abs(direct).max()
     centred = rows - rows.mean(axis=1, keepdims=True)
     lower = np.concatenate([np.ones((n, 1, size)), rows.reshape(n, d, size)[:, :-1]],
                            axis=1)  # T_0..T_(d-1)
