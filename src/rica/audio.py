@@ -121,7 +121,7 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
             "mixed channels are linearly dependent (identical sources?)"
         ) from exc
     opt = fit_config(config, contrast, seed=derive_seed(seed, 12))
-    full = minimize_contrast(whitened, opt, whitening=transform).full_matrix()
+    full = minimize_contrast(whitened, opt).rotation @ transform.matrix
     runtime = time.perf_counter() - t_start
 
     unmixed = full @ (mixed_full - mixed_full.mean(axis=1, keepdims=True))

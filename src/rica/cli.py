@@ -199,26 +199,27 @@ def _cmd_unmix(args) -> int:
     config = OptimizerConfig(m=args.m, gamma=args.gamma, sigma=args.sigma,
                              seed=args.seed, restarts=args.restarts,
                              contrast=args.contrast, init=args.init)
-    model = minimize_contrast(whitened, config, whitening=transform)
+    model = minimize_contrast(whitened, config)
+    unmixing = model.rotation @ transform.matrix
     payload = {
         "version": __version__,
         "seed": args.seed,
-        "contrast": model.contrast_name,
+        "contrast": args.contrast.upper(),
         "final_contrast": model.final_contrast,
         "iterations": model.iterations,
-        "whitening_mean": model.whitening.mean.tolist(),
-        "whitening_matrix": model.whitening.matrix.tolist(),
+        "whitening_mean": transform.mean.tolist(),
+        "whitening_matrix": transform.matrix.tolist(),
         "rotation": model.rotation.tolist(),
-        "unmixing_matrix": model.full_matrix().tolist(),
+        "unmixing_matrix": unmixing.tolist(),
         "config": {"m": args.m, "gamma": args.gamma, "sigma": args.sigma,
                    "restarts": args.restarts, "init": args.init},
     }
     with open(args.out_model, "w") as handle:
         json.dump(payload, handle, indent=2)
     if args.out:
-        unmixed = Dataset(model.full_matrix() @ (data.values - model.whitening.mean[:, None]))
+        unmixed = Dataset(unmixing @ (data.values - transform.mean[:, None]))
         dataset_to_csv(unmixed, args.out, comment=_header(args, "unmix"))
-    print(f"final {model.contrast_name} = {model.final_contrast:.6f} "
+    print(f"final {args.contrast.upper()} = {model.final_contrast:.6f} "
           f"after {model.iterations} iterations; wrote {args.out_model}")
     return 0
 

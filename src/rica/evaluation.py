@@ -135,11 +135,11 @@ def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConf
     t_start = time.perf_counter()
     whitened, transform = whiten(mixed)
     if method == "FASTICA":
-        result = fastica_baseline(whitened, seed=derive_seed(trial_seed, 400))
-        full = result.rotation @ transform.matrix
+        rotation = fastica_baseline(whitened, seed=derive_seed(trial_seed, 400)).rotation
     else:
         opt = fit_config(config, method, seed=derive_seed(trial_seed, 500))
-        full = minimize_contrast(whitened, opt, whitening=transform).full_matrix()
+        rotation = minimize_contrast(whitened, opt).rotation
+    full = rotation @ transform.matrix
     runtime = time.perf_counter() - t_start
     return ExperimentRecord(
         source_labels=labels, N=config.N, method=method, seed=trial_seed,

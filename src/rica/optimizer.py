@@ -39,13 +39,13 @@ accepted-value trace would no longer decrease.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA,
                               CovariancePencil, kcc_oracle, kgv_oracle, rcc, rgv)
-from .data_model import Dataset, WhiteningTransform
+from .data_model import Dataset
 from .errors import NoProgress
 from .random_features import ChebyshevBasis, FeatureMap, KernelSpec, draw_feature_map
 
@@ -83,18 +83,18 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class UnmixingModel:
-    """The estimated unmixing: W = rotation @ whitening.matrix, rotation orthogonal."""
+    """What a descent found: the orthogonal rotation of the whitened data.
 
-    whitening: WhiteningTransform
+    The unmixing of the raw data is rotation @ T for the matrix T of the
+    transform that whitened it. `objective_trace` holds the start's value
+    and each accepted step's; `restart_index` is the start it came from.
+    """
+
     rotation: np.ndarray
-    contrast_name: str
     final_contrast: float
     iterations: int
+    objective_trace: tuple[float, ...]
     restart_index: int = 0
-    objective_trace: tuple[float, ...] = ()
-
-    def full_matrix(self) -> np.ndarray:
-        return self.rotation @ self.whitening.matrix
 
 
 @dataclass(frozen=True)
@@ -164,23 +164,8 @@ def _check_whitened(values: np.ndarray, tol: float = 1e-5) -> None:
         raise ValueError("optimizer input must be whitened (identity covariance)")
 
 
-class Objective:
-    """A contrast f(Q) of the components Q @ whitened, with its slopes on O(n).
-
-    `slopes(q)` holds d/dh f(exp(h E_ij) q) at h = 0 per plane (i, j), i < j
-    in lexicographic order. Subclasses define `__call__`; this class takes the
-    slopes by central differences at FD_STEP.
-    """
-
-    def __call__(self, q: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def slopes(self, q: np.ndarray) -> np.ndarray:
-        return _central_slopes(self, q, FD_STEP)
-
-
-class _KernelObjective(Objective):
-    """KCC or KGV, the exact kernel oracles."""
+class _KernelObjective:
+    """KCC or KGV, the exact kernel oracles, with central-difference slopes."""
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):
         self.values = whitened.values
@@ -193,8 +178,12 @@ class _KernelObjective(Objective):
         parts = [Dataset(rotated[i:i + 1]) for i in range(len(rotated))]
         return self.oracle(parts, self.kernel, kappa=self.kappa)
 
+    def slopes(self, q: np.ndarray) -> np.ndarray:
+        # the oracles have no closed-form slopes: two evaluations per plane
+        return _central_slopes(self, q, FD_STEP)
 
-class _FeatureObjective(Objective):
+
+class _FeatureObjective:
     """RCC or RGV of frozen per-component feature maps, with closed-form slopes.
 
     It works in a Chebyshev basis of the maps' span (`ChebyshevBasis`) on
@@ -240,7 +229,8 @@ class _FeatureObjective(Objective):
         return g[i, j] - g[j, i]
 
 
-def make_objective(whitened: Dataset, config: OptimizerConfig) -> Objective:
+def make_objective(whitened: Dataset,
+                   config: OptimizerConfig) -> _KernelObjective | _FeatureObjective:
     """The configured contrast of the components Q @ whitened, as a function of Q.
 
     RCC and RGV use feature maps drawn once from config.seed, so the function
@@ -269,20 +259,21 @@ def _central_slopes(objective, q: np.ndarray, step: float) -> np.ndarray:
                      for i, j in planes])
 
 
-def descend(objective: Objective, start: np.ndarray, tol: float,
-            max_iters: int) -> tuple[np.ndarray, float, int, list[float]]:
+def descend(objective, start: np.ndarray, tol: float, max_iters: int) -> UnmixingModel:
     """Gradient descent on O(n) with backtracking (halving) Armijo line search.
 
-    The slopes are `objective.slopes` at the current iterate, whose value was
-    the last one computed. The first line search tries 1, 1/2, 1/4, ...; each
-    later one starts from the Barzilai-Borwein step min(1, s's / s'y), with
-    s = -t g the last accepted step and y = g' - g the change of slopes, both
-    in plane coordinates of the moving chart (for n = 2, the secant step on
-    the rotation angle). Where s'y <= 0 it starts from min(1, 2t) instead.
-    Every accepted step decreases the value, so the trace is monotone.
-    Returns (rotation, value, iterations, accepted-value trace). Raises
-    NoProgress if the very first line search fails to find a decrease
-    although the squared slope norm is at least tol.
+    `objective` is called as f(q) -> float, and f.slopes(q) gives
+    d/dh f(exp(h E_ij) q) at h = 0 per plane (i, j), i < j in lexicographic
+    order, at the current iterate, whose value was the last one computed.
+    The first line search tries 1, 1/2, 1/4, ...; each later one starts from
+    the Barzilai-Borwein step min(1, s's / s'y), with s = -t g the last
+    accepted step and y = g' - g the change of slopes, both in plane
+    coordinates of the moving chart (for n = 2, the secant step on the
+    rotation angle). Where s'y <= 0 it starts from min(1, 2t) instead.
+    Every accepted step decreases the value, so the trace is monotone, and
+    the iterations are the accepted steps. Raises NoProgress if the very
+    first line search fails to find a decrease although the squared slope
+    norm is at least tol.
     """
     q = np.array(start, dtype=float)
     n = q.shape[0]
@@ -293,7 +284,7 @@ def descend(objective: Objective, start: np.ndarray, tol: float,
         grad = objective.slopes(q)
         grad_sq = float(grad @ grad)
         if grad_sq == 0.0:
-            return q, value, iteration - 1, trace
+            break
         if last_grad is not None:
             s = -step * last_grad
             sy = float(s @ (grad - last_grad))
@@ -314,13 +305,13 @@ def descend(objective: Objective, start: np.ndarray, tol: float,
             # central differences cancel to exactly 0.
             if iteration == 1 and grad_sq >= tol:
                 raise NoProgress("first line search found no decrease")
-            return q, value, iteration - 1, trace
+            break
         improvement = value - cand_value
         q, value, last_grad = candidate, cand_value, grad
         trace.append(value)
         if improvement < tol:
-            return q, value, iteration, trace
-    return q, value, max_iters, trace
+            break
+    return UnmixingModel(q, value, len(trace) - 1, tuple(trace))
 
 
 def fastica_baseline(whitened: Dataset, seed: int) -> FastICAResult:
@@ -373,41 +364,28 @@ def _start(whitened: Dataset, config: OptimizerConfig, restart: int) -> np.ndarr
     return q * np.sign(np.diag(r))
 
 
-def minimize_contrast(whitened: Dataset, config: OptimizerConfig,
-                      whitening: WhiteningTransform | None = None) -> UnmixingModel:
+def minimize_contrast(whitened: Dataset, config: OptimizerConfig) -> UnmixingModel:
     """Run `restarts` descents from different starts; keep the lowest contrast.
 
     The first start honors config.init; later restarts are random. The
     objective is one fixed deterministic function for the whole run (RCC/RGV
     feature maps are drawn once from config.seed and shared by every restart).
     """
-    if whitening is None:
-        n = whitened.d
-        whitening = WhiteningTransform(mean=np.zeros(n), matrix=np.eye(n))
     objective = make_objective(whitened, config)
     best = None
     failures = 0
     for restart in range(config.restarts):
         start = _start(whitened, config, restart)
         try:
-            q, value, iters, trace = descend(objective, start, config.tol, config.max_iters)
+            model = descend(objective, start, config.tol, config.max_iters)
         except NoProgress:
             # A start already at a sharp minimum can fail its first search;
             # keep it as a (zero-iteration) candidate rather than discarding.
             failures += 1
             start_value = objective(start)
-            q, value, iters, trace = start, start_value, 0, [start_value]
-        if best is None or value < best[1]:
-            best = (q, value, iters, trace, restart)
+            model = UnmixingModel(start, start_value, 0, (start_value,))
+        if best is None or model.final_contrast < best.final_contrast:
+            best = replace(model, restart_index=restart)
     if failures == config.restarts:
         raise NoProgress("every restart failed its first line search")
-    q, value, iters, trace, restart = best
-    return UnmixingModel(
-        whitening=whitening,
-        rotation=q,
-        contrast_name=config.contrast.upper(),
-        final_contrast=value,
-        iterations=iters,
-        restart_index=restart,
-        objective_trace=tuple(trace),
-    )
+    return best

@@ -10,7 +10,7 @@ from rica.contrast_engine import covariance_blocks, rcc, rgv
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import NoProgress
 from rica.evaluation import BenchmarkConfig, amari_distance, run_benchmark
-from rica.optimizer import (FD_STEP, Objective, OptimizerConfig, descend, draw_objective_maps,
+from rica.optimizer import (FD_STEP, OptimizerConfig, descend, draw_objective_maps,
                             expm_skew, fastica_baseline, finite_diff_gradient, make_objective,
                             minimize_contrast, plane_rotation)
 from rica.random_features import apply_feature_map
@@ -132,10 +132,14 @@ def test_gradient_small_at_located_minimum():
 
 def test_descend_raises_no_progress_on_adversarial_kink():
     # finite differences point uphill at this kink, so no step can decrease f
-    class Kink(Objective):
+    class Kink:
         def __call__(self, q):
             theta = np.arctan2(q[1, 0], q[0, 0])
             return 2.0 * abs(theta) - 0.1 * theta
+
+        def slopes(self, q):
+            return np.array([(self(rotation(FD_STEP) @ q) - self(rotation(-FD_STEP) @ q))
+                             / (2.0 * FD_STEP)])
 
     with pytest.raises(NoProgress):
         descend(Kink(), np.eye(2), tol=1e-8, max_iters=5)
@@ -143,23 +147,23 @@ def test_descend_raises_no_progress_on_adversarial_kink():
 
 def test_descend_stops_at_a_start_stationary_to_rounding():
     # slopes of rounding size at an exact minimum are convergence, not NoProgress
-    class Bowl(Objective):
+    class Bowl:
         def __call__(self, q):
             return np.arctan2(q[1, 0], q[0, 0]) ** 2
 
         def slopes(self, q):
             return np.array([1e-14])
 
-    q, value, iterations, _ = descend(Bowl(), np.eye(2), tol=1e-8, max_iters=5)
-    assert iterations == 0 and value == 0.0
-    np.testing.assert_array_equal(q, np.eye(2))
+    model = descend(Bowl(), np.eye(2), tol=1e-8, max_iters=5)
+    assert model.iterations == 0 and model.final_contrast == 0.0
+    np.testing.assert_array_equal(model.rotation, np.eye(2))
 
 
 def angle(q):
     return float(np.arctan2(q[1, 0], q[0, 0]))
 
 
-class AngleObjective(Objective):
+class AngleObjective:
     """f of the angle of a 2x2 rotation, with exact slopes df; records each angle evaluated."""
 
     def __init__(self, f, df):
@@ -179,14 +183,15 @@ def test_descend_second_search_tries_the_secant_step():
     # A trial step t from theta evaluates theta - t * 2 a theta.
     a, theta0 = 3.0, 0.5
     objective = AngleObjective(lambda th: a * th ** 2, lambda th: 2.0 * a * th)
-    q, _, _, trace = descend(objective, rotation(theta0), tol=1e-10, max_iters=10)
+    model = descend(objective, rotation(theta0), tol=1e-10, max_iters=10)
+    trace = list(model.objective_trace)
     start, *first, theta1, second = objective.angles[:5]
     assert start == pytest.approx(theta0, abs=1e-15)
     steps = [(theta0 - th) / (2.0 * a * theta0) for th in [*first, theta1]]
     np.testing.assert_allclose(steps, [1.0, 0.5, 0.25], rtol=1e-12)
     assert (theta1 - second) / (2.0 * a * theta1) == pytest.approx(1.0 / (2.0 * a), rel=1e-9)
     assert trace[1:3] == [a * theta1 ** 2, a * second ** 2]  # accepted at its one evaluation
-    assert abs(angle(q)) <= 1e-12
+    assert abs(angle(model.rotation)) <= 1e-12
 
 
 def test_descend_falls_back_to_doubling_where_curvature_is_negative():
@@ -204,14 +209,14 @@ def test_descend_falls_back_to_doubling_where_curvature_is_negative():
         return -2.0 * k * th if out <= 0.0 else np.sign(th) * (-2.0 * k + 2.0 * wall * out)
 
     objective = AngleObjective(f, df)
-    _, _, _, trace = descend(objective, rotation(0.4), tol=1e-10, max_iters=20)
+    trace = descend(objective, rotation(0.4), tol=1e-10, max_iters=20).objective_trace
     theta1, second = objective.angles[3:5]
     assert theta1 == pytest.approx(0.8, abs=1e-12) and trace[1] == f(theta1)
     assert (theta1 - second) / df(theta1) == pytest.approx(0.5, rel=1e-9)
     assert np.all(np.diff(trace) <= 0)
 
 
-class SearchCounter(Objective):
+class SearchCounter:
     """Passes an objective through, counting the evaluations after each slopes call."""
 
     def __init__(self, inner):
@@ -431,6 +436,16 @@ def test_objective_calls_the_contrast_it_looked_up_once_per_evaluation(contrast,
     assert len(calls) == 1
 
 
+def test_kernel_objective_slopes_are_its_central_differences():
+    # KCC and KGV state their slopes as central differences at FD_STEP, the
+    # computation `finite_diff_gradient` keeps as the test oracle
+    data = whitened_uniform_pair(100, seed=3)
+    config = OptimizerConfig(seed=4, contrast="kgv")
+    q = rotation(0.3)
+    np.testing.assert_array_equal(make_objective(data, config).slopes(q),
+                                  finite_diff_gradient(q, data, config))
+
+
 def test_minimize_contrast_uniform_pair_50_trials():
     # uniform + uniform mixtures, N=1000, RGV defaults: amari <= 0.10 in >= 90%
     failures = 0
@@ -439,8 +454,8 @@ def test_minimize_contrast_uniform_pair_50_trials():
         a_mat = random_mixing_matrix(2, 1.0, 2.0, seed=seed)
         whitened, transform = whiten(mix(sources, a_mat))
         config = OptimizerConfig(seed=seed, contrast="rgv")
-        model = minimize_contrast(whitened, config, whitening=transform)
-        err = amari_distance(model.full_matrix(), np.linalg.inv(a_mat))
+        model = minimize_contrast(whitened, config)
+        err = amari_distance(model.rotation @ transform.matrix, np.linalg.inv(a_mat))
         failures += err > 0.10
     assert failures <= 5
 
@@ -452,9 +467,9 @@ def test_minimize_contrast_given_init_at_truth():
     config = OptimizerConfig(seed=2, contrast="rgv", restarts=1)
     objective = make_objective(whitened, config)
     start_value = objective(np.eye(2))
-    q, value, _, _ = descend(objective, np.eye(2), config.tol, config.max_iters)
-    assert value <= start_value + config.tol
-    assert amari_distance(q @ transform.matrix, np.eye(2)) <= 0.02
+    model = descend(objective, np.eye(2), config.tol, config.max_iters)
+    assert model.final_contrast <= start_value + config.tol
+    assert amari_distance(model.rotation @ transform.matrix, np.eye(2)) <= 0.02
 
 
 def test_minimize_contrast_trace_monotone_nonincreasing():
@@ -551,11 +566,10 @@ def test_minimize_contrast_separates_three_sources():
         a_mat = random_mixing_matrix(3, 1.0, 2.0, seed=seed)
         whitened, transform = whiten(mix(Dataset(rows), a_mat))
         truth = np.linalg.inv(a_mat)
-        model = minimize_contrast(whitened, OptimizerConfig(seed=seed, m=64, restarts=1),
-                                  whitening=transform)
+        model = minimize_contrast(whitened, OptimizerConfig(seed=seed, m=64, restarts=1))
         q = model.rotation
         np.testing.assert_allclose(q @ q.T, np.eye(3), atol=1e-10)
-        errors.append(amari_distance(model.full_matrix(), truth))
+        errors.append(amari_distance(q @ transform.matrix, truth))
         fastica = fastica_baseline(whitened, seed=seed).rotation @ transform.matrix
         fastica_errors.append(amari_distance(fastica, truth))
     print(f"3 sources: mean Amari RGV={np.mean(errors):.3f} FastICA={np.mean(fastica_errors):.3f}")
