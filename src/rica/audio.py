@@ -10,7 +10,7 @@ import numpy as np
 
 from .contrast_engine import KERNEL_ORACLE_LIMIT
 from .data_model import Dataset, random_mixing_matrix, whiten
-from .errors import DegenerateCovariance, RateMismatch, TooShort
+from .errors import DegenerateCovariance, MalformedInput, RateMismatch, TooShort
 from .evaluation import COND_RANGE, BenchmarkConfig, ExperimentRecord, amari_distance, fit_config
 from .optimizer import CONTRASTS, KERNEL_CONTRASTS, derive_seed, minimize_contrast
 
@@ -35,15 +35,22 @@ class AudioClip:
 
 
 def read_wav(path) -> AudioClip:
-    """Read a 16-bit PCM mono little-endian WAV file bit-exactly."""
-    with wave.open(str(path), "rb") as handle:
-        if handle.getnchannels() != 1:
-            raise ValueError(f"{path}: only mono WAV is supported "
-                             f"(got {handle.getnchannels()} channels)")
-        if handle.getsampwidth() != 2:
-            raise ValueError(f"{path}: only 16-bit PCM is supported")
-        frames = handle.readframes(handle.getnframes())
-        rate = handle.getframerate()
+    """Read a 16-bit PCM mono little-endian WAV file bit-exactly.
+
+    Raises MalformedInput for any other file.
+    """
+    try:
+        with wave.open(str(path), "rb") as handle:
+            if handle.getnchannels() != 1:
+                raise MalformedInput(f"{path}: only mono WAV is supported "
+                                     f"(got {handle.getnchannels()} channels)")
+            if handle.getsampwidth() != 2:
+                raise MalformedInput(f"{path}: only 16-bit PCM is supported "
+                                     f"(got {8 * handle.getsampwidth()}-bit samples)")
+            frames = handle.readframes(handle.getnframes())
+            rate = handle.getframerate()
+    except (wave.Error, EOFError) as exc:
+        raise MalformedInput(f"{path}: not a PCM WAV file ({exc})") from exc
     ints = np.frombuffer(frames, dtype="<i2")
     return AudioClip(samples=ints.astype(float) / 32768.0, sample_rate_hz=rate)
 

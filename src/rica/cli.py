@@ -28,6 +28,7 @@ from .source_bank import catalog, catalog_table, sample_source, spec_by_label
 
 # Every subcommand names a method by its lowercase record label.
 METHOD_TOKENS = tuple(method.lower() for method in METHODS)
+MIN_GRID_DEGREES = 0.01  # the finest `sweep --grid`
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,11 +83,28 @@ def _ints(text: str, minimum: int, separator: str = ",") -> tuple[int, ...]:
     return tuple(_int(token, minimum) for token in text.split(separator))
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)  # argparse reports a ValueError as an invalid value
-    if not 0.0 < value < math.inf:
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
+    if not value > 0.0:
         raise argparse.ArgumentTypeError(f"expected a finite number > 0, got {text!r}")
     return value
+
+
+def _grid_arg(text: str) -> float:
+    # the sweep evaluates the contrast at the angles 0, step, 2 step, ... up to
+    # 90: 9,001 of them at the finest step, 0 and 90 at the coarsest
+    step = _positive(text)
+    if not MIN_GRID_DEGREES <= step <= 90.0:
+        raise argparse.ArgumentTypeError(
+            f"expected a step from {MIN_GRID_DEGREES} to 90 degrees, got {text!r}")
+    return step
 
 
 def _plan_arg(text: str) -> dict[str, tuple[int, ...]]:
@@ -280,8 +298,9 @@ def build_parser() -> _Parser:
                    help="two catalog labels 'c,b'")
     p.add_argument("--n", type=lambda text: _int(text, 2), default=1000)
     p.add_argument("--contrast", choices=CONTRASTS, default="rgv")
-    p.add_argument("--grid", type=_positive, default=1.0, help="grid step in degrees")
-    p.add_argument("--mix-angle", type=float, default=30.0,
+    p.add_argument("--grid", type=_grid_arg, default=1.0,
+                   help=f"grid step in degrees, from {MIN_GRID_DEGREES} to 90")
+    p.add_argument("--mix-angle", type=_finite, default=30.0,
                    help="mixing rotation in degrees; minimum expected at (-angle) mod 90")
     p.add_argument("--out", default="sweep.csv")
     _common_contrast_flags(p)
@@ -302,7 +321,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out", default=None, help="optional CSV of unmixed data")
     p.add_argument("--m", type=lambda text: _int(text, 1), default=DEFAULT_M)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
+    p.add_argument("--gamma", type=_finite, default=DEFAULT_GAMMA)
     p.add_argument("--sigma", type=_positive, default=DEFAULT_SIGMA)
 
     p = add("separate", _cmd_separate, "separate two WAV clips")
@@ -331,8 +350,8 @@ def _bench_flags(p, reps: int, out: str) -> None:
 
 def _common_contrast_flags(p) -> None:
     p.add_argument("--m", type=lambda text: _int(text, 1), default=DEFAULT_M)
-    p.add_argument("--gamma", type=float, default=DEFAULT_GAMMA)
-    p.add_argument("--kappa", type=float, default=DEFAULT_KAPPA)
+    p.add_argument("--gamma", type=_finite, default=DEFAULT_GAMMA)
+    p.add_argument("--kappa", type=_finite, default=DEFAULT_KAPPA)
     p.add_argument("--sigma", type=_positive, default=DEFAULT_SIGMA)
 
 

@@ -65,8 +65,9 @@ class CovariancePencil:
     row-centered features Zbar; `blocks` views it with shape (n_s, n_s, m, m),
     blocks[i, j] = (1/N) * sum_k zbar(x_i^k) zbar(x_j^k)^T. Zbar may be the
     features' coordinates in any orthonormal basis of their span, which
-    changes no contrast. A pencil exists only for gamma > 0, so no contrast
-    checks gamma again: any other gamma, NaN included, raises SingularDiagonal.
+    changes no contrast. A pencil exists only for 0 < gamma < inf, so no
+    contrast checks gamma again: any other gamma, NaN included, raises
+    SingularDiagonal.
     """
 
     matrix: np.ndarray
@@ -76,6 +77,8 @@ class CovariancePencil:
     def __post_init__(self):
         if not self.gamma > 0:
             raise SingularDiagonal(f"the pencil needs gamma > 0, got {self.gamma}; increase gamma")
+        if self.gamma == np.inf:
+            raise SingularDiagonal("the pencil needs a finite gamma, got inf")
 
     @property
     def m(self) -> int:
@@ -314,13 +317,14 @@ def kernel_pencil_spectrum(datasets: list[Dataset], kernel: KernelSpec,
     (K_i + (N kappa / 2) I)^2. The normalized off blocks become G_i G_j with
     G_i = (K_i + cI)^(-1) K_i, computed from one eigendecomposition per
     variable for stability (never squaring the regularized block).
-    Raises OracleSizeExceeded above KERNEL_ORACLE_LIMIT samples.
+    Raises OracleSizeExceeded above KERNEL_ORACLE_LIMIT samples, and
+    SingularDiagonal unless 0 < N kappa / 2 < inf.
     """
     grams = _centered_grams(datasets, kernel)
     n_samples = grams[0].shape[0]
     c = n_samples * kappa / 2.0
-    if c <= 0:
-        raise SingularDiagonal("kernel oracle requires kappa > 0")
+    if not 0 < c < np.inf:
+        raise SingularDiagonal(f"kernel oracle requires 0 < N kappa / 2 < inf, got {c}")
     filters = []
     for gram in grams:
         w, u = np.linalg.eigh(gram)

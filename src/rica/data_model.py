@@ -8,11 +8,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CountTooLarge, DegenerateCovariance, DimensionMismatch, InvalidRange
+from .errors import (CountTooLarge, DegenerateCovariance, DimensionMismatch, InvalidRange,
+                     MalformedInput)
 
 EIGEN_FLOOR = 1e-12  # relative eigenvalue floor of a full-rank covariance
 
@@ -147,11 +149,25 @@ def dataset_to_csv(data: Dataset, path, comment: str | None = None) -> None:
 
 
 def dataset_from_csv(path) -> Dataset:
+    """Read one row per dimension, skipping blank and `#` lines.
+
+    Raises MalformedInput for a token that is not a finite number, or rows
+    of different lengths.
+    """
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in line.split(",")])
+            try:
+                row = [float(tok) for tok in line.split(",")]
+            except ValueError as exc:
+                raise MalformedInput(f"{path}, line {number}: {exc}") from exc
+            if not all(math.isfinite(x) for x in row):
+                raise MalformedInput(f"{path}, line {number}: non-finite entry")
+            if rows and len(row) != len(rows[0]):
+                raise MalformedInput(f"{path}, line {number}: {len(row)} entries, "
+                                     f"the first row has {len(rows[0])}")
+            rows.append(row)
     return Dataset(np.array(rows))

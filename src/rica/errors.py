@@ -47,3 +47,7 @@ class RateMismatch(RicaError):
 
 class TooShort(RicaError):
     """Audio clip too short to separate."""
+
+
+class MalformedInput(RicaError):
+    """An input file does not hold the data its reader expects."""

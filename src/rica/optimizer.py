@@ -46,7 +46,7 @@ import numpy as np
 from .contrast_engine import (DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA,
                               CovariancePencil, kcc_oracle, kgv_oracle, rcc, rgv)
 from .data_model import Dataset
-from .errors import NoProgress
+from .errors import DimensionMismatch, NoProgress
 from .random_features import ChebyshevBasis, FeatureMap, KernelSpec, draw_feature_map
 
 ARMIJO_C = 1e-4
@@ -237,7 +237,10 @@ def make_objective(whitened: Dataset,
     is deterministic, and have closed-form slopes; KCC and KGV are the exact
     kernel oracles, with central-difference slopes. RCC and RGV take q
     orthogonal: a component beyond the largest sample norm raises ValueError.
+    A contrast of fewer than two components raises DimensionMismatch.
     """
+    if whitened.d < 2:
+        raise DimensionMismatch(f"a contrast needs two or more components, got {whitened.d}")
     _check_whitened(whitened.values)
     if config.contrast in KERNEL_CONTRASTS:
         return _KernelObjective(whitened, config)

@@ -8,7 +8,7 @@ from helpers import synthetic_tone
 from rica.audio import AudioClip, read_wav, separate_audio, write_wav
 from rica.contrast_engine import covariance_blocks, kgv_oracle, rgv
 from rica.data_model import Dataset
-from rica.errors import DegenerateCovariance, RateMismatch, TooShort
+from rica.errors import DegenerateCovariance, MalformedInput, RateMismatch, TooShort
 from rica.evaluation import BenchmarkConfig
 from rica.random_features import KernelSpec, apply_feature_map, draw_feature_map
 
@@ -40,7 +40,7 @@ def test_read_wav_rejects_stereo(tmp_path):
         handle.setsampwidth(2)
         handle.setframerate(8000)
         handle.writeframes(b"\x00\x00" * 400)
-    with pytest.raises(ValueError, match="mono"):
+    with pytest.raises(MalformedInput, match="mono"):
         read_wav(path)
 
 

@@ -1,4 +1,6 @@
+import argparse
 import json
+import wave
 
 import numpy as np
 import pytest
@@ -202,6 +204,91 @@ def test_runtime_error_exits_two(tmp_path, capsys):
         assert "SingularDiagonal" in capsys.readouterr().err
 
 
+def _write_pcm(path, channels, width):
+    with wave.open(str(path), "wb") as handle:
+        handle.setnchannels(channels)
+        handle.setsampwidth(width)
+        handle.setframerate(8000)
+        handle.writeframes(b"\x00" * channels * width * 2000)
+
+
+@pytest.mark.parametrize("command, content, error", [
+    ("unmix", "1,2,3\n4,5\n", "MalformedInput"),  # ragged rows
+    ("unmix", "1,2,3\n4,x,6\n", "MalformedInput"),
+    ("unmix", "1,2,3\n4,nan,6\n", "MalformedInput"),
+    ("unmix", "1,2,3,4,5\n", "DimensionMismatch"),  # one component: nothing to unmix
+    ("separate", (2, 2), "MalformedInput"),  # stereo
+    ("separate", (1, 1), "MalformedInput"),  # 8-bit
+    ("separate", b"not a wav file", "MalformedInput"),
+])
+def test_malformed_input_file_exits_two(command, content, error, tmp_path, capsys):
+    # the CLI reports the reader's or the fit's RicaError; no traceback
+    path = tmp_path / "input"
+    if isinstance(content, tuple):
+        _write_pcm(path, *content)
+    else:
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+    good = tmp_path / "good.wav"
+    write_wav(good, synthetic_tone(440.0, 1.0, 8000))
+    args = {"unmix": ["unmix", "--in", str(path), "--out-model", str(tmp_path / "m.json")],
+            "separate": ["separate", "--in1", str(good), "--in2", str(path),
+                         "--out-prefix", str(tmp_path / "out")]}[command]
+    assert run_cli(args + ["--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"rica: {error}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["input", "good.wav"])
+
+
+def _numeric_flags():
+    """(subcommand, flag) for every option whose type= accepts the number 1 or 2."""
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    flags = []
+    for command, parser in subparsers.choices.items():
+        for action in parser._actions:
+            if action.type is None or not action.option_strings:
+                continue
+            for number in ("1", "2"):
+                try:
+                    action.type(number)
+                except (argparse.ArgumentTypeError, ValueError):
+                    continue
+                flags.append((command, action.option_strings[0]))
+                break
+    return flags
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", _numeric_flags())
+def test_every_numeric_flag_refuses_non_finite_numbers(command, flag, value, tmp_path, capsys):
+    # appended last to an otherwise valid (and small) invocation of the subcommand
+    spec = spec_by_label("c")
+    csv_path, wav1, wav2 = tmp_path / "in.csv", tmp_path / "in1.wav", tmp_path / "in2.wav"
+    dataset_to_csv(Dataset(np.vstack([sample_source(spec, 200, seed=1),
+                                      sample_source(spec, 200, seed=2)])), csv_path)
+    write_wav(wav1, synthetic_tone(440.0, 1.0, 8000))
+    write_wav(wav2, synthetic_tone(650.0, 1.0, 8000, phase=0.5))
+    out = str(tmp_path / "out")
+    small = ["--n", "100", "--reps", "1", "--max-iters", "2"]
+    valid = {
+        "bench": ["--pairs", "c,b", *small, "--out", out],
+        "outliers": ["--pair", "c,b", "--counts", "0", *small, "--out", out],
+        "scaling": ["--plan", "rgv:100+200", "--reps", "1", "--out", out],
+        "sweep": ["--sources", "c,b", "--n", "100", "--grid", "45", "--out", out],
+        "kernel-bound": ["--n", "100", "--m-list", "10", "--seeds", "1", "--out", out],
+        "unmix": ["--in", str(csv_path), "--restarts", "1", "--out-model", out,
+                  "--out", out + ".csv"],
+        "separate": ["--in1", str(wav1), "--in2", str(wav2), "--max-iters", "2",
+                     "--out-prefix", out],
+    }[command]
+    assert run_cli([command, "--seed", "1", *valid, flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(f"rica: error: argument {flag}: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv", "in1.wav", "in2.wav"]
+
+
 @pytest.mark.parametrize("args", [
     ["scaling", "--plan", "fastica:100+200"],
     ["scaling", "--plan", "rgv"],
@@ -229,6 +316,12 @@ def test_runtime_error_exits_two(tmp_path, capsys):
     ["scaling", "--reps", "0"],
     ["unmix", "--in", "x.csv", "--restarts", "0"],
     ["separate", "--in1", "a.wav", "--in2", "b.wav", "--fit-samples", "1"],
+    ["unmix", "--in", "x.csv", "--gamma", "inf"],
+    ["sweep", "--sources", "c,b", "--contrast", "rgv", "--gamma", "inf"],
+    ["sweep", "--sources", "c,b", "--contrast", "kgv", "--kappa", "nan"],
+    ["sweep", "--sources", "c,b", "--mix-angle", "nan"],
+    ["sweep", "--sources", "c,b", "--grid", "1e-9"],  # 9e10 angles
+    ["sweep", "--sources", "c,b", "--grid", "90.5"],  # the angle 0 alone
 ])
 def test_malformed_list_argument_is_a_usage_error(args, capsys):
     # rejected by the parser, before any fit, naming the malformed (last)

@@ -107,10 +107,10 @@ def test_contrasts_of_the_chebyshev_pencil_equal_those_of_the_features(seed, n_s
 
 
 def test_rgv_requires_positive_gamma():
-    # NaN once gave rgv a nan value and rcc a bare LinAlgError
+    # NaN once gave rgv a nan value and rcc a bare LinAlgError; inf gave both nan
     z = [features(np.arange(5.0), 8, seed=1), features(np.arange(5.0), 8, seed=2)]
     for contrast in (rgv, rcc):
-        for gamma in (0.0, np.nan):
+        for gamma in (0.0, np.nan, np.inf):
             with pytest.raises(SingularDiagonal):
                 contrast(covariance_blocks(z, gamma=gamma))
 
@@ -380,9 +380,12 @@ def test_kernel_oracle_size_cap():
 
 
 def test_kernel_oracle_requires_positive_kappa():
+    # NaN and inf once ended in a bare LinAlgError; 1e308 overflows N kappa / 2
     data = Dataset(np.random.default_rng(0).standard_normal((1, 50)))
-    with pytest.raises(SingularDiagonal):
-        kcc_oracle([data, data], KERNEL, kappa=0.0)
+    for oracle in (kcc_oracle, kgv_oracle):
+        for kappa in (0.0, np.nan, np.inf, 1e308):
+            with pytest.raises(SingularDiagonal):
+                oracle([data, data], KERNEL, kappa=kappa)
 
 
 def test_rcc_approaches_kcc_with_many_features():
