@@ -17,8 +17,9 @@ RCC and RGV work in a Chebyshev basis of their feature maps' span
 in [-rho, rho], rho the largest sample norm, where the m features of a
 component are a fixed m x d map of T_1..T_d(y / rho), d about 45 at the
 default sigma, to within 2^-52 of their amplitude. An evaluation hands the
-contrast a pencil of n min(m, d) rows in place of the features' n m, with
-the same value. Their slopes are closed-form: the value varies as
+contrast a pencil of n r rows in place of the features' n m, with the same
+value, r <= min(m, d) the numerical rank of the maps' span (about 26 at the
+default sigma). Their slopes are closed-form: the value varies as
 -1/2 tr(W dS) for the covariance S of the rows and W = R^T M R, the
 contrast's M taken to the basis by `ChebyshevBasis.expand` (Bach & Jordan
 2002), and moving Q along E_ij moves t_i = y_i / rho by -t_j dh and t_j by
@@ -191,11 +192,12 @@ class _FeatureObjective:
     bounds every component of an orthogonal rotation: an evaluation forms
     T_1..T_d of the components over rho by recurrence, reads them once
     uncentred (`ChebyshevBasis.row_moments`) and hands the contrast the
-    pencil R cov(U) R^T, n min(m, d) square; the features themselves are
-    never formed. It keeps the last evaluation (its q, `RowMoments` and
-    `ContrastEvaluation`) for the slopes at that q, which take W =
-    `basis.expand` of the contrast's M and those moments to
-    `ChebyshevBasis.derivative_moments` and evaluate no cosine or sine. At
+    pencil R cov(U) R^T, n r square with r <= min(m, d) the numerical rank
+    of the maps' span; the features themselves are never formed. It keeps
+    the last evaluation (its q, `RowMoments` and `ContrastEvaluation`) for
+    the slopes at that q, which take W = `basis.expand` of the contrast's M
+    and those moments to `ChebyshevBasis.derivative_moments` and evaluate
+    no cosine or sine. At
     n = 2 what it keeps holds nothing of size N; at n >= 3 it holds the rows
     alone, T_1(t) = t standing for the components, for the slopes' pass. The
     next evaluation drops the kept one before allocating, and the slopes

@@ -160,15 +160,23 @@ class ChebyshevBasis:
     every contrast of R S R^T + gamma I equals that of the features: the
     pencil only loses eigenvalues gamma, whose log-dets cancel in RGV, and
     normalised eigenvalues 1, which are never below RCC's smallest. R_i is
-    min(m, d) x d. `evaluate` forms U by the three-term recurrence, with no
-    sine or cosine. `row_moments` reads those rows once and never centres
-    them: S's diagonal blocks come from the 2d + 1 moments E[T_k(t_i)]
-    through T_a T_b = (T_(a+b) + T_|a-b|) / 2, and only its cross blocks
-    from products of the rows. `compress` takes S to R S R^T, and its
-    adjoint `expand` takes a contrast's M over the pencil to W = R^T M R over
-    U, so that tr(M d(R S R^T)) = tr(W dS). `derivative_moments` takes the
-    moments of U's derivatives that a rotation's slopes need from what
-    `row_moments` left, through T_k' = sum_a D_ka T_a (`chebyshev_derivative`).
+    r x d, r <= min(m, d) the numerical rank of the span: the largest over
+    the maps of the fewest leading rows of C'_i's R factor whose trailing
+    rows are within max(m, d) eps ||R_i|| in the Frobenius norm, the QR's
+    own rounding. The unpivoted QR reveals that rank because C'_i's columns
+    are degree-ordered with Bessel decay, and a dropped row moves a contrast
+    by O(tol^2 ||S|| / gamma), far below rounding (Bach & Jordan 2002 fit
+    each Gram matrix at its numerical rank the same way; on c,b data r is
+    about 26 where d is about 45). `evaluate` forms U by the three-term
+    recurrence, with no sine or cosine. `row_moments` reads those rows once
+    and never centres them: S's diagonal blocks come from the 2d + 1
+    moments E[T_k(t_i)] through T_a T_b = (T_(a+b) + T_|a-b|) / 2, and only
+    its cross blocks from products of the rows. `compress` takes S to
+    R S R^T, and its adjoint `expand` takes a contrast's M over the pencil
+    to W = R^T M R over U, so that tr(M d(R S R^T)) = tr(W dS).
+    `derivative_moments` takes the moments of U's derivatives that a
+    rotation's slopes need from what `row_moments` left, through
+    T_k' = sum_a D_ka T_a (`chebyshev_derivative`).
     """
 
     def __init__(self, maps: list[FeatureMap], radius: float):
@@ -180,10 +188,18 @@ class ChebyshevBasis:
         self.radius = radius
         bandwidth = radius * max(np.abs(fmap.frequencies).max() for fmap in maps)
         self.degree = chebyshev_degree(bandwidth)
-        # R_i, stacked (n, min(m, d), d); centring removes the constant column
-        self.factors = np.stack([
-            np.linalg.qr(chebyshev_coefficients(fmap, radius, self.degree)[:, 1:], mode="r")
-            for fmap in maps])
+        # R_i of C'_i = Q_i R_i; centring removes the constant column
+        factors = [np.linalg.qr(chebyshev_coefficients(fmap, radius, self.degree)[:, 1:], mode="r")
+                   for fmap in maps]
+        # the rows past R_i's numerical rank hold the QR's own rounding: the
+        # rank is the fewest leading rows whose trailing block is within
+        # max(m, d) eps ||R_i|| in the Frobenius norm
+        rank = 1
+        for factor in factors:
+            tails = np.sqrt(np.cumsum(np.sum(factor * factor, axis=1)[::-1])[::-1])
+            tol = max(m, self.degree) * np.finfo(float).eps * tails[0]
+            rank = max(rank, int(np.count_nonzero(tails > tol)))
+        self.factors = np.stack([factor[:rank] for factor in factors])  # (n, r, d)
         self.derivative = chebyshev_derivative(self.degree)
         # a + l and |a - l| for a = 0..d-1, l = 1..d: the indices of T_a T_l's two terms
         a, l = np.ogrid[:self.degree, 1:self.degree + 1]

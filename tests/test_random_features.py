@@ -9,7 +9,7 @@ from numpy.polynomial.chebyshev import chebder
 from rica.contrast_engine import CovariancePencil, rcc, rgv
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import DimensionMismatch
-from rica.optimizer import OptimizerConfig, make_objective
+from rica.optimizer import OptimizerConfig, draw_objective_maps, make_objective
 from rica.random_features import (ChebyshevBasis, FeatureMap, KernelSpec, apply_feature_map,
                                   approximation_error_bound, chebyshev_coefficients,
                                   chebyshev_degree, chebyshev_derivative, draw_feature_map,
@@ -200,6 +200,57 @@ def test_chebyshev_basis_expands_to_the_features():
     np.testing.assert_allclose(np.sum(weights * basis.compress(s)),
                                np.sum(basis.expand(weights) * s),
                                rtol=1e-13, atol=0.0)
+
+
+@settings(max_examples=24, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3]),
+       size=st.sampled_from([(200, 1.0), (32, 0.25)]))  # (m, sigma); d > m at sigma 0.25
+def test_rank_r_basis_gives_the_contrasts_of_the_full_factor(seed, n, size):
+    # R_i keeps the leading r rows of C'_i's QR, the rest being within
+    # max(m, d) eps ||R_i|| in the Frobenius norm. The contrasts and slopes at
+    # a seeded rotation match those of a basis holding every row of each R_i.
+    # RGV's value is a difference of log-dets of size about n d |log gamma|,
+    # and the full factor's n (d - r) extra rows add as many terms log gamma,
+    # which cancel to that sum's rounding. A slope G_ij - G_ji near a
+    # stationary rotation is a difference of two much larger terms, so it is
+    # bounded by their size
+    m, sigma = size
+    labels = ("c", "b", "e")[:n]
+    sources = np.vstack([sample_source(spec_by_label(label), 500, seed=seed % 1000 + 7 * k)
+                         for k, label in enumerate(labels)])
+    data, _ = whiten(mix(Dataset(sources), random_mixing_matrix(n, 1.0, 2.0, seed=seed % 997)))
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q *= np.sign(np.diag(r))
+    i, j = np.triu_indices(n, 1)
+    for contrast in ("rgv", "rcc"):
+        config = OptimizerConfig(seed=seed, m=m, sigma=sigma, contrast=contrast)
+        truncated, full = make_objective(data, config), make_objective(data, config)
+        basis = full.basis
+        factors = [np.linalg.qr(chebyshev_coefficients(fmap, basis.radius, basis.degree)[:, 1:],
+                                mode="r") for fmap in draw_objective_maps(config, n)]
+        basis.factors = np.stack(factors)
+        d, rank = basis.degree, truncated.basis.factors.shape[1]
+        assert rank <= min(m, d)
+        for factor, kept in zip(factors, truncated.basis.factors):
+            np.testing.assert_array_equal(kept, factor[:rank])
+            tol = max(m, d) * np.finfo(float).eps * np.linalg.norm(factor)
+            assert np.linalg.norm(factor[rank:]) <= tol
+        value, reference = truncated(q), full(q)
+        rounding = 4.0 * n * d * np.finfo(float).eps * abs(np.log(config.gamma))
+        assert abs(value - reference) <= 1e-12 * abs(reference) + (
+            rounding if contrast == "rgv" else 0.0)
+        terms = []
+        moments_of = basis.derivative_moments
+
+        def keeping_g(*args):
+            terms.append(moments_of(*args))
+            return terms[-1]
+
+        basis.derivative_moments = keeping_g
+        slopes, reference = truncated.slopes(q), full.slopes(q)
+        g = np.abs(terms[0])
+        assert np.all(np.abs(slopes - reference) <= 1e-12 * (g[i, j] + g[j, i]))
 
 
 def test_chebyshev_basis_rejects_maps_of_unequal_size():
