@@ -30,12 +30,14 @@ same Q (in `descend` always the one just accepted) left. The kernel oracles
 take central differences, two evaluations per plane; `finite_diff_gradient`
 keeps them as the test oracle for every contrast.
 
-Each step length comes from an Armijo backtracking (halving) line search. After
-the first iteration it starts from the Barzilai-Borwein step (Barzilai &
-Borwein 1988; on the Stiefel manifold, Wen & Yin 2013), so most searches
-take a single evaluation. Acceptance stays monotone: Wen & Yin's nonmonotone
-rule would save nothing once the first trial is accepted, and the
-accepted-value trace would no longer decrease.
+Each step length comes from an Armijo backtracking line search, which
+after a rejected trial tries the minimiser of the quadratic that
+interpolates it (Nocedal & Wright 2006, section 3.5). After the first
+iteration it starts from the Barzilai-Borwein step (Barzilai & Borwein
+1988; on the Stiefel manifold, Wen & Yin 2013), so most searches take a
+single evaluation. Acceptance stays monotone: Wen & Yin's nonmonotone rule
+would save nothing once the first trial is accepted, and the accepted-value
+trace would no longer decrease.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ from .errors import DimensionMismatch, NoProgress
 from .random_features import ChebyshevBasis, FeatureMap, KernelSpec, draw_feature_map
 
 ARMIJO_C = 1e-4
-LINE_SEARCH_MAX_HALVINGS = 30
+LINE_SEARCH_MAX_TRIALS = 30
+# a backtracking trial after a rejected step t lies in [BACKTRACK_MIN t, BACKTRACK_MAX t]
+BACKTRACK_MIN, BACKTRACK_MAX = 0.1, 0.5
 FD_STEP = 1e-4  # central-difference step of the FD slopes, in radians
 FASTICA_TOL = 1e-6
 FASTICA_MAX_SWEEPS = 200
@@ -264,17 +268,36 @@ def _central_slopes(objective, q: np.ndarray, step: float) -> np.ndarray:
                      for i, j in planes])
 
 
+def _backtrack(step: float, rise: float, grad_sq: float) -> float:
+    """The trial after a rejected step t whose value exceeds the start's by `rise`.
+
+    It is the minimiser t^2 |g|^2 / (2 (rise + t |g|^2)) of the quadratic in
+    t through the start's value, its slope -|g|^2 and the rejected value
+    (Nocedal & Wright 2006, section 3.5), kept within
+    [BACKTRACK_MIN t, BACKTRACK_MAX t]; where that quadratic has no positive
+    curvature, or the rejected value is not a number, it is t / 2.
+    """
+    curvature = rise + step * grad_sq  # the quadratic's t^2 coefficient, times t^2
+    if not curvature > 0.0:
+        return 0.5 * step
+    trial = step * step * grad_sq / (2.0 * curvature)
+    return min(max(trial, BACKTRACK_MIN * step), BACKTRACK_MAX * step)
+
+
 def descend(objective, start: np.ndarray, tol: float, max_iters: int) -> UnmixingModel:
-    """Gradient descent on O(n) with backtracking (halving) Armijo line search.
+    """Gradient descent on O(n) with an interpolating backtracking Armijo line search.
 
     `objective` is called as f(q) -> float, and f.slopes(q) gives
     d/dh f(exp(h E_ij) q) at h = 0 per plane (i, j), i < j in lexicographic
     order, at the current iterate, whose value was the last one computed.
-    The first line search tries 1, 1/2, 1/4, ...; each later one starts from
-    the Barzilai-Borwein step min(1, s's / s'y), with s = -t g the last
-    accepted step and y = g' - g the change of slopes, both in plane
-    coordinates of the moving chart (for n = 2, the secant step on the
-    rotation angle). Where s'y <= 0 it starts from min(1, 2t) instead.
+    After a rejected trial t a search tries `_backtrack`'s step, the
+    minimiser of the quadratic through the start's value, its slope -|g|^2
+    and the trial's value, kept within [t / 10, t / 2]. The first line
+    search starts from 1; each later one starts from the Barzilai-Borwein
+    step min(1, s's / s'y), with s = -t g the last accepted step and
+    y = g' - g the change of slopes, both in plane coordinates of the moving
+    chart (for n = 2, the secant step on the rotation angle). Where
+    s'y <= 0 it starts from min(1, 2t) instead.
     Every accepted step decreases the value, so the trace is monotone, and
     the iterations are the accepted steps. Raises NoProgress if the very
     first line search fails to find a decrease although the squared slope
@@ -296,13 +319,13 @@ def descend(objective, start: np.ndarray, tol: float, max_iters: int) -> Unmixin
             step = min(1.0, float(s @ s) / sy) if sy > 0.0 else min(1.0, 2.0 * step)
         direction = _tangent(grad, n)
         accepted = False
-        for _ in range(LINE_SEARCH_MAX_HALVINGS):
+        for _ in range(LINE_SEARCH_MAX_TRIALS):
             candidate = expm_skew(-step * direction) @ q
             cand_value = objective(candidate)
             if cand_value <= value - ARMIJO_C * step * grad_sq:
                 accepted = True
                 break
-            step *= 0.5
+            step = _backtrack(step, cand_value - value, grad_sq)
         if not accepted:
             # With grad_sq < tol a unit step would improve f by less than tol
             # to first order: the start is stationary to working precision.

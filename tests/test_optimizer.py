@@ -10,9 +10,10 @@ from rica.contrast_engine import covariance_blocks, rcc, rgv
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import NoProgress
 from rica.evaluation import BenchmarkConfig, amari_distance, run_benchmark
-from rica.optimizer import (FD_STEP, OptimizerConfig, descend, draw_objective_maps,
-                            expm_skew, fastica_baseline, finite_diff_gradient, make_objective,
-                            minimize_contrast, plane_rotation)
+from rica.optimizer import (ARMIJO_C, BACKTRACK_MAX, BACKTRACK_MIN, FD_STEP, OptimizerConfig,
+                            descend, draw_objective_maps, expm_skew, fastica_baseline,
+                            finite_diff_gradient, make_objective, minimize_contrast,
+                            plane_rotation)
 from rica.random_features import apply_feature_map
 from rica.source_bank import sample_source, spec_by_label
 
@@ -177,18 +178,45 @@ class AngleObjective:
         return np.array([self.df(angle(q))])
 
 
+def quadratic_steps(a, theta0, trials):
+    """The steps t of trial angles on f = a theta^2 from theta0: theta0 - t 2 a theta0."""
+    return [(theta0 - th) / (2.0 * a * theta0) for th in trials]
+
+
+@pytest.mark.parametrize("a, backtrack", [
+    (3.0, 1.0 / 6.0),  # the quadratic's minimiser 1 / (2 a), within [0.1, 0.5]
+    (7.5, BACKTRACK_MIN),  # 1 / (2 a) = 1/15 is below the clamp 0.1
+    (1.0 - ARMIJO_C / 2.0, BACKTRACK_MAX),  # 1 / (2 a) = 0.500025 is above the clamp 0.5
+])
+def test_descend_backtracks_to_the_minimiser_of_the_interpolating_quadratic(a, backtrack):
+    # f = a theta^2 is a quadratic in the step t along the first search, so
+    # after t = 1 is rejected (for every a > 1 - ARMIJO_C) the next trial is
+    # exactly its minimiser 1 / (2 a), clamped to [BACKTRACK_MIN, BACKTRACK_MAX].
+    # theta0 (1 - 2 a), the trial at t = 1, stays within (-pi, pi)
+    theta0 = 0.2
+    objective = AngleObjective(lambda th: a * th ** 2, lambda th: 2.0 * a * th)
+    model = descend(objective, rotation(theta0), tol=1e-10, max_iters=10)
+    start, *trials = objective.angles[:3]
+    assert start == pytest.approx(theta0, abs=1e-15)
+    np.testing.assert_allclose(quadratic_steps(a, theta0, trials), [1.0, backtrack], rtol=1e-12)
+    assert model.objective_trace[1] == a * trials[1] ** 2  # accepted at its one evaluation
+    if a == 3.0:  # the minimiser is the minimum
+        assert abs(angle(model.rotation)) <= 1e-12
+
+
 def test_descend_second_search_tries_the_secant_step():
-    # f = a theta^2 with a > 1/2: the first search halves from 1, and the
-    # secant of the slopes 2 a theta is then the exact step 1 / (2 a) to 0.
+    # f = a theta^2 with a = 7.5: the first search backtracks from 1 to the
+    # clamp 0.1, short of the quadratic's minimiser 1 / (2 a), and the secant
+    # of the slopes 2 a theta is then the exact step 1 / (2 a) to 0.
     # A trial step t from theta evaluates theta - t * 2 a theta.
-    a, theta0 = 3.0, 0.5
+    a, theta0 = 7.5, 0.2
     objective = AngleObjective(lambda th: a * th ** 2, lambda th: 2.0 * a * th)
     model = descend(objective, rotation(theta0), tol=1e-10, max_iters=10)
     trace = list(model.objective_trace)
-    start, *first, theta1, second = objective.angles[:5]
+    start, first, theta1, second = objective.angles[:4]
     assert start == pytest.approx(theta0, abs=1e-15)
-    steps = [(theta0 - th) / (2.0 * a * theta0) for th in [*first, theta1]]
-    np.testing.assert_allclose(steps, [1.0, 0.5, 0.25], rtol=1e-12)
+    np.testing.assert_allclose(quadratic_steps(a, theta0, [first, theta1]), [1.0, 0.1],
+                               rtol=1e-12)
     assert (theta1 - second) / (2.0 * a * theta1) == pytest.approx(1.0 / (2.0 * a), rel=1e-9)
     assert trace[1:3] == [a * theta1 ** 2, a * second ** 2]  # accepted at its one evaluation
     assert abs(angle(model.rotation)) <= 1e-12
@@ -196,8 +224,10 @@ def test_descend_second_search_tries_the_secant_step():
 
 def test_descend_falls_back_to_doubling_where_curvature_is_negative():
     # f = -k theta^2 on |theta| <= 1, walled in beyond by a steep quadratic.
-    # From 0.4 the first search accepts t = 1/4 at 0.8, inside the concave
-    # stretch, where s'y < 0; the second search then starts from min(1, 2t).
+    # From 0.4 the first search rejects t = 1 at 2.0, in the wall, where the
+    # interpolating quadratic's minimiser is below the clamp 0.1, and accepts
+    # t = 0.1 at 0.56, inside the concave stretch, where s'y < 0; the second
+    # search then starts from min(1, 2t).
     k, wall = 2.0, 100.0
 
     def f(th):
@@ -210,9 +240,9 @@ def test_descend_falls_back_to_doubling_where_curvature_is_negative():
 
     objective = AngleObjective(f, df)
     trace = descend(objective, rotation(0.4), tol=1e-10, max_iters=20).objective_trace
-    theta1, second = objective.angles[3:5]
-    assert theta1 == pytest.approx(0.8, abs=1e-12) and trace[1] == f(theta1)
-    assert (theta1 - second) / df(theta1) == pytest.approx(0.5, rel=1e-9)
+    theta1, second = objective.angles[2:4]
+    assert theta1 == pytest.approx(0.56, abs=1e-12) and trace[1] == f(theta1)
+    assert (theta1 - second) / df(theta1) == pytest.approx(0.2, rel=1e-9)
     assert np.all(np.diff(trace) <= 0)
 
 
@@ -249,6 +279,41 @@ def test_line_searches_after_the_first_mostly_take_one_evaluation(monkeypatch):
                                   methods=("RGV",), master_seed=101))
     assert len(later) >= 20
     assert np.mean(later) <= 1.2
+
+
+class CallCounter:
+    """Passes an objective through, counting its evaluations."""
+
+    def __init__(self, inner):
+        self.inner, self.calls = inner, 0
+
+    def __call__(self, q):
+        self.calls += 1
+        return self.inner(q)
+
+    def slopes(self, q):
+        return self.inner.slopes(q)
+
+
+def test_fits_take_fewer_evaluations_than_halving(monkeypatch):
+    # criterion 5's plan at master seed 101, counted rather than timed: the
+    # first 20 fits per contrast took 4.15 (RGV) and 7.80 (RCC) evaluations
+    # on average where a rejected trial was halved, and 3.95 and 6.25 where
+    # it is the interpolating quadratic's minimiser; each bound is midway
+    evaluations = {"rgv": [], "rcc": []}
+
+    def counting_descend(objective, start, tol, max_iters):
+        counter = CallCounter(objective)
+        result = descend(counter, start, tol, max_iters)
+        evaluations[objective.contrast.__name__].append(counter.calls)
+        return result
+
+    monkeypatch.setattr(optimizer, "descend", counting_descend)
+    run_benchmark(BenchmarkConfig(labels=("c", "b"), N=1000, replicates=20,
+                                  methods=("RGV", "RCC"), master_seed=101))
+    assert len(evaluations["rgv"]) == len(evaluations["rcc"]) == 20
+    assert np.mean(evaluations["rgv"]) <= 4.05
+    assert np.mean(evaluations["rcc"]) <= 7.025
 
 
 @settings(max_examples=20, deadline=None)
