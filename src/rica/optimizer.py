@@ -118,7 +118,12 @@ def plane_rotation(n: int, i: int, j: int, theta: float) -> np.ndarray:
 
 
 def expm_skew(a: np.ndarray) -> np.ndarray:
-    """exp(a) for real skew-symmetric a, from the Hermitian eigenproblem of i*a."""
+    """exp(a) for real skew-symmetric a, from the Hermitian eigenproblem of i*a.
+
+    At n = 2, a = a_10 E_01 and exp(a) is the plane rotation by a_10.
+    """
+    if len(a) == 2:
+        return plane_rotation(2, 0, 1, a[1, 0])
     w, v = np.linalg.eigh(1j * a)
     return ((v * np.exp(-1j * w)) @ v.conj().T).real
 

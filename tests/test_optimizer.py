@@ -55,8 +55,16 @@ def test_expm_skew_orthogonal_det_one():
         assert abs(np.linalg.det(q) - 1.0) < 1e-10
 
 
-def test_expm_skew_matches_plane_rotations():
-    # exp of one plane generator is that plane's rotation; exp(A) exp(-A) = I
+def test_expm_skew_matches_plane_rotations(monkeypatch):
+    # exp of one plane generator is that plane's rotation; exp(A) exp(-A) = I.
+    # At n = 2 that rotation is the closed form, with no eigen-solve
+    eigh = np.linalg.eigh
+
+    def eigh_above_two(a, *args, **kwargs):
+        assert len(a) > 2, "expm_skew took an eigen-solve at n = 2"
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh_above_two)
     rng = np.random.default_rng(8)
     for n in (2, 3, 5):
         for i, j in zip(*np.triu_indices(n, 1)):
