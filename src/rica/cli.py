@@ -19,8 +19,8 @@ from .audio import read_wav, separate_audio, write_wav
 from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
 from .data_model import Dataset, dataset_from_csv, dataset_to_csv, whiten
 from .errors import RicaError
-from .evaluation import (METHODS, BenchmarkConfig, records_to_csv_rows, rotation_sweep,
-                         run_benchmark, run_outlier_study, run_scaling_study,
+from .evaluation import (METHODS, MIN_GRID_DEGREES, BenchmarkConfig, records_to_csv_rows,
+                         rotation_sweep, run_benchmark, run_outlier_study, run_scaling_study,
                          summary_csv_rows, summary_table)
 from .optimizer import CONTRASTS, INITS, KERNEL_CONTRASTS, OptimizerConfig, minimize_contrast
 from .random_features import KernelSpec, approximation_error_bound, empirical_approx_error
@@ -28,7 +28,6 @@ from .source_bank import catalog, catalog_table, sample_source, spec_by_label
 
 # Every subcommand names a method by its lowercase record label.
 METHOD_TOKENS = tuple(method.lower() for method in METHODS)
-MIN_GRID_DEGREES = 0.01  # the finest `sweep --grid`
 
 
 class _Parser(argparse.ArgumentParser):

@@ -24,6 +24,7 @@ from .source_bank import catalog, sample_source, spec_by_label
 METHODS = ("FASTICA",) + tuple(contrast.upper() for contrast in CONTRASTS)
 COND_RANGE = (1.0, 2.0)  # condition numbers of the planted mixing matrices
 OUTLIER_MAGNITUDE = 5.0
+MIN_GRID_DEGREES = 0.01  # the finest `rotation_sweep` grid step
 
 
 @dataclass(frozen=True)
@@ -255,7 +256,12 @@ def rotation_sweep(sources: Dataset, config: OptimizerConfig, grid_degrees: floa
     then scanned: the value at grid angle phi is the contrast (the fit's own
     objective, `make_objective(whitened, config)`) of R(phi) applied to the
     whitened mixture. The minimum is expected near (-mix_angle) mod 90.
+    A grid step outside [MIN_GRID_DEGREES, 90] raises ValueError: 9,001
+    angles at the finest step, 0 and 90 at the coarsest.
     """
+    if not MIN_GRID_DEGREES <= grid_degrees <= 90.0:
+        raise ValueError(f"grid step must be from {MIN_GRID_DEGREES} to 90 degrees, "
+                         f"got {grid_degrees}")
     if sources.d != 2:
         raise ValueError("rotation sweep is defined for two components")
     mixed = Dataset(plane_rotation(2, 0, 1, np.deg2rad(mix_angle_degrees)) @ sources.values)

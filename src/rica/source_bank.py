@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Any
 
 import numpy as np
@@ -70,11 +71,15 @@ def _gm(label: str, components, description: str, near_gaussian: bool = False) -
                       mean, math.sqrt(var), description, near_gaussian)
 
 
-def catalog() -> list[SourceSpec]:
-    """The fixed 18-entry density catalog, labels 'a' through 'r'."""
+@cache
+def catalog() -> tuple[SourceSpec, ...]:
+    """The fixed 18-entry density catalog, labels 'a' through 'r'.
+
+    Built on the first call; every call returns that one tuple.
+    """
     lap_mix = [(0.5, -2.0, 1.0), (0.5, 2.0, 1.0)]
     lm_mean, lm_var = _laplace_mixture_moments(lap_mix)
-    specs = [
+    specs = (
         SourceSpec("a", "student_t", {"df": 3}, 0.0, float(np.sqrt(3.0)),
                    "Student-t, 3 degrees of freedom"),
         SourceSpec("b", "laplace", {"scale": 1.0}, 0.0, float(np.sqrt(2.0)),
@@ -112,7 +117,7 @@ def catalog() -> list[SourceSpec]:
             "asymmetric 4-Gaussian mixture, transitional"),
         _gm("r", [(0.5, 0.0, 0.45), (0.3, -0.4, 1.1), (0.1, 0.7, 1.6), (0.1, 1.3, 2.0)],
             "asymmetric 4-Gaussian mixture, unimodal spiky"),
-    ]
+    )
     assert [s.label for s in specs] == list(LABELS)
     return specs
 

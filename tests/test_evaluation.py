@@ -3,10 +3,11 @@ import pytest
 
 from rica import evaluation, optimizer
 from rica.errors import NoProgress, SingularMatrix
-from rica.evaluation import (BenchmarkConfig, amari_distance, amari_from_product,
-                             fit_runtime_exponent, mean_amari_by, records_to_csv_rows,
-                             rotation_sweep, run_benchmark, run_outlier_study,
-                             run_scaling_study, run_single_trial, summary_table)
+from rica.evaluation import (MIN_GRID_DEGREES, BenchmarkConfig, amari_distance,
+                             amari_from_product, fit_runtime_exponent, mean_amari_by,
+                             records_to_csv_rows, rotation_sweep, run_benchmark,
+                             run_outlier_study, run_scaling_study, run_single_trial,
+                             summary_table)
 from rica.data_model import Dataset
 from rica.optimizer import OptimizerConfig, derive_seed
 from rica.source_bank import sample_source, spec_by_label
@@ -194,6 +195,29 @@ def test_rotation_sweep_kernel_oracle_route():
     distance = min(abs(best - 30.0) % 90.0, 90.0 - abs(best - 30.0) % 90.0)
     assert distance <= 15.0
     assert all(v >= -1e-9 for _, v in points)
+
+
+def test_rotation_sweep_grid_from_the_finest_step_to_90_degrees(monkeypatch):
+    monkeypatch.setattr(evaluation, "make_objective", lambda whitened, config: lambda q: 0.0)
+    sources = Dataset(np.vstack([sample_source(spec_by_label("c"), 100, seed=5),
+                                 sample_source(spec_by_label("b"), 100, seed=6)]))
+    for step, size in ((MIN_GRID_DEGREES, 9001), (90.0, 2)):
+        points = rotation_sweep(sources, OptimizerConfig(), grid_degrees=step,
+                                mix_angle_degrees=0.0)
+        assert len(points) == size and points[-1][0] == pytest.approx(90.0)
+
+
+@pytest.mark.parametrize("step", [1e-9, 0.0, -1.0, 0.0099, 90.5, np.nan, np.inf])
+def test_rotation_sweep_rejects_a_grid_step_before_building_anything(step, monkeypatch):
+    # 1e-9 would ask for a 671 GiB angle grid; a step above 90 scans only 0
+    def fail(*args, **kwargs):
+        raise AssertionError("built before the step was checked")
+
+    monkeypatch.setattr(evaluation, "make_objective", fail)
+    monkeypatch.setattr(np, "arange", fail)
+    sources = Dataset(np.array([[1.0, -1.0, 0.5], [0.5, 1.0, -1.0]]))
+    with pytest.raises(ValueError, match="grid step"):
+        rotation_sweep(sources, OptimizerConfig(), grid_degrees=step, mix_angle_degrees=0.0)
 
 
 def test_records_csv_rows_shape_and_determinism_choice():

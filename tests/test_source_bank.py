@@ -16,6 +16,13 @@ def test_catalog_has_18_entries_labeled_a_to_r():
     assert specs[0].label == "a"
 
 
+def test_catalog_is_built_once_as_a_tuple():
+    # callers share one copy, which a tuple keeps them from reordering or extending
+    first = catalog()
+    assert isinstance(first, tuple)
+    assert catalog() is first
+
+
 def test_catalog_covers_required_families():
     families = {s.family for s in catalog()}
     assert {"student_t", "laplace", "uniform", "exponential"} <= families
