@@ -229,12 +229,12 @@ def _rcc_weights(normalized: np.ndarray, inverses: list[np.ndarray], mu: float) 
     """
     n_s, m = len(inverses), inverses[0].shape[0]
     if n_s == 2:
-        # `rcc` took this SVD without vectors. Taking them there would cost
-        # more than taking the SVD twice: at m about 45 an SVD with vectors
-        # costs about 3 times one without (0.39 against 0.14 ms), and a fit
-        # evaluates RCC about twice as often as it asks for the weights
-        # (7.4 evaluations and 3.6 slopes calls per fit on the c,b pair,
-        # N = 1000), so it would add about 1.8 ms per fit to save 1.4 ms.
+        # `rcc` took this SVD without vectors. Taking them there would save
+        # nothing: at the pencil's r about 26 an SVD with vectors costs about
+        # 2.2 times one without (0.065 against 0.029 ms, one BLAS thread), and
+        # a fit evaluates RCC about twice as often as it asks for the weights
+        # (6.0 evaluations and 3.3 slopes calls per fit on the c,b pair,
+        # N = 1000), so it would add about 0.22 ms per fit to save 0.22 ms.
         left, _, right_t = np.linalg.svd(normalized)
         vector = np.stack([left[:, 0], -right_t[0]]) / np.sqrt(2.0)
     else:

@@ -206,11 +206,10 @@ class _FeatureObjective:
     the last evaluation (its q, `RowMoments` and `ContrastEvaluation`) for
     the slopes at that q, which take W = `basis.expand` of the contrast's M
     and those moments to `ChebyshevBasis.derivative_moments` and evaluate
-    no cosine or sine. At
-    n = 2 what it keeps holds nothing of size N; at n >= 3 it holds the rows
-    alone, T_1(t) = t standing for the components, for the slopes' pass. The
-    next evaluation drops the kept one before allocating, and the slopes
-    consume it, so at most one is alive.
+    no cosine or sine. At n = 2 what it keeps holds nothing of size N; at
+    n >= 3 it holds the rows alone, T_1(t) = t standing for the components,
+    for the slopes' pass. The next evaluation drops the kept one before
+    allocating, and the slopes consume it, so at most one is alive.
     """
 
     def __init__(self, whitened: Dataset, config: OptimizerConfig):
