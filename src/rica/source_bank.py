@@ -31,8 +31,10 @@ near-Gaussian (|excess kurtosis| < 0.3); they are deliberately hard cases.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -42,15 +44,24 @@ LABELS = "abcdefghijklmnopqr"
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """One catalog density: family, parameters, and analytic moments."""
+    """One catalog density: family, parameters, and analytic moments.
+
+    The parameters are held read-only, mixture components as a tuple, since
+    every caller of `catalog()` shares the same specs.
+    """
 
     label: str
     family: str
-    parameters: dict[str, Any]
+    parameters: Mapping[str, Any]
     mean: float
     std: float
     description: str
     near_gaussian: bool = False
+
+    def __post_init__(self):
+        frozen = {key: tuple(value) if isinstance(value, list) else value
+                  for key, value in self.parameters.items()}
+        object.__setattr__(self, "parameters", MappingProxyType(frozen))
 
 
 def _gauss_mixture_moments(components) -> tuple[float, float]:

@@ -17,10 +17,14 @@ def test_catalog_has_18_entries_labeled_a_to_r():
 
 
 def test_catalog_is_built_once_as_a_tuple():
-    # callers share one copy, which a tuple keeps them from reordering or extending
+    # callers share one copy, which none of them can reorder, extend or re-parameterise
     first = catalog()
     assert isinstance(first, tuple)
     assert catalog() is first
+    with pytest.raises(TypeError):
+        first[0].parameters["df"] = 1
+    with pytest.raises(AttributeError):
+        spec_by_label("g").parameters["components"].append((0.1, 0.0, 1.0))
 
 
 def test_catalog_covers_required_families():
