@@ -289,20 +289,6 @@ def test_line_searches_after_the_first_mostly_take_one_evaluation(monkeypatch):
     assert np.mean(later) <= 1.2
 
 
-class CallCounter:
-    """Passes an objective through, counting its evaluations."""
-
-    def __init__(self, inner):
-        self.inner, self.calls = inner, 0
-
-    def __call__(self, q):
-        self.calls += 1
-        return self.inner(q)
-
-    def slopes(self, q):
-        return self.inner.slopes(q)
-
-
 def test_fits_take_fewer_evaluations_than_halving(monkeypatch):
     # criterion 5's plan at master seed 101, counted rather than timed: the
     # first 20 fits per contrast took 4.15 (RGV) and 7.80 (RCC) evaluations
@@ -311,9 +297,10 @@ def test_fits_take_fewer_evaluations_than_halving(monkeypatch):
     evaluations = {"rgv": [], "rcc": []}
 
     def counting_descend(objective, start, tol, max_iters):
-        counter = CallCounter(objective)
+        counter = SearchCounter(objective)
         result = descend(counter, start, tol, max_iters)
-        evaluations[objective.contrast.__name__].append(counter.calls)
+        # the start's evaluation comes before the first slopes call
+        evaluations[objective.contrast.__name__].append(1 + sum(counter.searches))
         return result
 
     monkeypatch.setattr(optimizer, "descend", counting_descend)
