@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import time
 import wave
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .contrast_engine import KERNEL_ORACLE_LIMIT
-from .data_model import Dataset, random_mixing_matrix, whiten
+from .data_model import Dataset, random_mixing_matrix
 from .errors import DegenerateCovariance, MalformedInput, RateMismatch, TooShort
-from .evaluation import COND_RANGE, BenchmarkConfig, ExperimentRecord, amari_distance, fit_config
-from .optimizer import CONTRASTS, KERNEL_CONTRASTS, derive_seed, minimize_contrast
+from .evaluation import COND_RANGE, ExperimentRecord, amari_distance, fit_unmixing
+from .optimizer import KERNEL_CONTRASTS, OptimizerConfig, derive_seed
 
 MIN_SAMPLES = 1000
 DEFAULT_FIT_SAMPLES = 8000
@@ -79,15 +79,15 @@ def _fit_stride(n_total: int, fit_samples: int) -> slice:
     return slice(0, stride * fit_samples, stride)
 
 
-def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
-                   config: BenchmarkConfig | None = None, seed: int = 0,
+def separate_audio(clips: tuple[AudioClip, AudioClip], config: OptimizerConfig,
                    already_mixed: bool = False,
                    fit_samples: int = DEFAULT_FIT_SAMPLES,
                    ) -> tuple[tuple[AudioClip, AudioClip], ExperimentRecord]:
-    """Separate two channels; returns the unmixed clips and a record.
+    """Separate two channels by the fit `config`; returns the unmixed clips and a record.
 
-    When `already_mixed` is false the inputs are treated as clean sources and
-    mixed with a seeded random matrix (condition number in COND_RANGE) so the true
+    The mixing and the fit derive their seeds from `config.seed`. When
+    `already_mixed` is false the inputs are treated as clean sources and mixed
+    with a seeded random matrix (condition number in COND_RANGE) so the true
     unmixing is known and an Amari distance can be recorded; otherwise the
     inputs are used as-is and the record's amari is None.
 
@@ -96,11 +96,7 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
     to the full-length clips; the kernel oracles use at most
     KERNEL_ORACLE_LIMIT of them. Output clips are rescaled to peak 0.9.
     """
-    config = config or BenchmarkConfig(labels=("audio", "audio"))
-    contrast = method.lower()
-    if contrast not in CONTRASTS:
-        raise ValueError(f"unknown separation method {method!r}; valid: {CONTRASTS}")
-    if contrast in KERNEL_CONTRASTS:
+    if config.contrast in KERNEL_CONTRASTS:
         fit_samples = min(fit_samples, KERNEL_ORACLE_LIMIT)
     a, b = clips
     if a.sample_rate_hz != b.sample_rate_hz:
@@ -115,20 +111,18 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
     if already_mixed:
         mixed_full = channels
     else:
-        a_mat = random_mixing_matrix(2, *COND_RANGE, seed=derive_seed(seed, 11))
+        a_mat = random_mixing_matrix(2, *COND_RANGE, seed=derive_seed(config.seed, 11))
         mixed_full = a_mat @ channels
         true_unmixing = np.linalg.inv(a_mat)
 
-    fit_values = mixed_full[:, _fit_stride(n_total, fit_samples)]
+    fit_data = Dataset(mixed_full[:, _fit_stride(n_total, fit_samples)])
     t_start = time.perf_counter()
     try:
-        whitened, transform = whiten(Dataset(fit_values))
+        full, _, _ = fit_unmixing(fit_data, replace(config, seed=derive_seed(config.seed, 12)))
     except DegenerateCovariance as exc:
         raise DegenerateCovariance(
             "mixed channels are linearly dependent (identical sources?)"
         ) from exc
-    opt = fit_config(config, contrast, seed=derive_seed(seed, 12))
-    full = minimize_contrast(whitened, opt).rotation @ transform.matrix
     runtime = time.perf_counter() - t_start
 
     unmixed = full @ (mixed_full - mixed_full.mean(axis=1, keepdims=True))
@@ -138,9 +132,8 @@ def separate_audio(clips: tuple[AudioClip, AudioClip], method: str = "RGV",
         outputs.append(AudioClip(0.9 * row / peak if peak > 0 else row, a.sample_rate_hz))
     amari = None if true_unmixing is None else amari_distance(full, true_unmixing)
     record = ExperimentRecord(
-        source_labels=("audio1", "audio2"), N=n_total, method=contrast.upper(), seed=seed,
-        amari=amari, runtime_seconds=runtime,
-        config={**config.snapshot(), "fit_samples": fit_samples,
-                "already_mixed": already_mixed},
+        source_labels=("audio1", "audio2"), N=n_total, method=config.contrast.upper(),
+        seed=config.seed, amari=amari, runtime_seconds=runtime,
+        config={**asdict(config), "fit_samples": fit_samples, "already_mixed": already_mixed},
     )
     return (outputs[0], outputs[1]), record

@@ -17,12 +17,12 @@ import numpy as np
 from . import __version__
 from .audio import read_wav, separate_audio, write_wav
 from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
-from .data_model import Dataset, dataset_from_csv, dataset_to_csv, whiten
+from .data_model import Dataset, dataset_from_csv, dataset_to_csv
 from .errors import RicaError
-from .evaluation import (METHODS, MIN_GRID_DEGREES, BenchmarkConfig, records_to_csv_rows,
-                         rotation_sweep, run_benchmark, run_outlier_study, run_scaling_study,
-                         summary_csv_rows, summary_table)
-from .optimizer import CONTRASTS, INITS, KERNEL_CONTRASTS, OptimizerConfig, minimize_contrast
+from .evaluation import (METHODS, MIN_GRID_DEGREES, BenchmarkConfig, fit_unmixing,
+                         records_to_csv_rows, rotation_sweep, run_benchmark, run_outlier_study,
+                         run_scaling_study, summary_csv_rows, summary_table)
+from .optimizer import CONTRASTS, INITS, KERNEL_CONTRASTS, OptimizerConfig
 from .random_features import KernelSpec, approximation_error_bound, empirical_approx_error
 from .source_bank import catalog, catalog_table, sample_source, spec_by_label
 
@@ -166,8 +166,7 @@ def _cmd_outliers(args) -> int:
 
 
 def _cmd_scaling(args) -> int:
-    study = run_scaling_study(args.plan, BenchmarkConfig(labels=("c", "c"), master_seed=args.seed),
-                              repetitions=args.reps)
+    study = run_scaling_study(args.plan, OptimizerConfig(seed=args.seed), repetitions=args.reps)
     rows = ["method,N,median_seconds"]
     for point in study.points:
         rows.append(f"{point.method},{point.N},{repr(point.median_seconds)}")
@@ -212,12 +211,10 @@ def _cmd_kernel_bound(args) -> int:
 
 def _cmd_unmix(args) -> int:
     data = dataset_from_csv(args.infile)
-    whitened, transform = whiten(data)
     config = OptimizerConfig(m=args.m, gamma=args.gamma, sigma=args.sigma,
                              seed=args.seed, restarts=args.restarts,
                              contrast=args.contrast, init=args.init)
-    model = minimize_contrast(whitened, config)
-    unmixing = model.rotation @ transform.matrix
+    unmixing, transform, model = fit_unmixing(data, config)
     payload = {
         "version": __version__,
         "seed": args.seed,
@@ -243,11 +240,11 @@ def _cmd_unmix(args) -> int:
 
 def _cmd_separate(args) -> int:
     clips = (read_wav(args.in1), read_wav(args.in2))
-    config = BenchmarkConfig(labels=("audio", "audio"), m=args.m, gamma=args.gamma,
-                             kappa=args.kappa, sigma=args.sigma, max_iters=args.max_iters)
-    (out1, out2), record = separate_audio(
-        clips, method=args.method, config=config, seed=args.seed,
-        already_mixed=args.already_mixed, fit_samples=args.fit_samples)
+    config = OptimizerConfig(m=args.m, gamma=args.gamma, kappa=args.kappa, sigma=args.sigma,
+                             max_iters=args.max_iters, restarts=1, seed=args.seed,
+                             contrast=args.method)
+    (out1, out2), record = separate_audio(clips, config, already_mixed=args.already_mixed,
+                                          fit_samples=args.fit_samples)
     write_wav(f"{args.out_prefix}1.wav", out1)
     write_wav(f"{args.out_prefix}2.wav", out2)
     amari_txt = "n/a" if record.amari is None else f"{100.0 * record.amari:.2f}"

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .contrast_engine import DEFAULT_GAMMA, DEFAULT_KAPPA, DEFAULT_M, DEFAULT_SIGMA
-from .data_model import Dataset, inject_outliers, mix, random_mixing_matrix, whiten
+from .data_model import (Dataset, WhiteningTransform, inject_outliers, mix,
+                         random_mixing_matrix, whiten)
 from .errors import SingularMatrix
-from .optimizer import (CONTRASTS, OptimizerConfig, derive_seed, fastica_baseline,
-                        make_objective, minimize_contrast, plane_rotation)
+from .optimizer import (CONTRASTS, OptimizerConfig, UnmixingModel, derive_seed,
+                        fastica_baseline, make_objective, minimize_contrast, plane_rotation)
 from .source_bank import catalog, sample_source, spec_by_label
 
 METHODS = ("FASTICA",) + tuple(contrast.upper() for contrast in CONTRASTS)
@@ -119,12 +120,16 @@ def _draw_trial_data(labels: tuple[str, ...], config: BenchmarkConfig,
     return mixed, np.linalg.inv(a_mat)
 
 
-def fit_config(config: BenchmarkConfig, method: str, seed: int) -> OptimizerConfig:
-    """Optimizer settings for a contrast method, one of METHODS other than FASTICA."""
-    return OptimizerConfig(m=config.m, gamma=config.gamma, kappa=config.kappa,
-                           sigma=config.sigma, restarts=config.restarts,
-                           max_iters=config.max_iters, seed=seed, init="fastica",
-                           contrast=method.lower())
+def fit_unmixing(data: Dataset, config: OptimizerConfig
+                 ) -> tuple[np.ndarray, WhiteningTransform, UnmixingModel]:
+    """The one fit of an unmixing: whiten, minimise the contrast, compose.
+
+    Returns the unmixing `model.rotation @ transform.matrix` of the raw data,
+    the transform that whitened it and the descent's model.
+    """
+    whitened, transform = whiten(data)
+    model = minimize_contrast(whitened, config)
+    return model.rotation @ transform.matrix, transform, model
 
 
 def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConfig,
@@ -134,13 +139,15 @@ def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConf
         raise ValueError(f"unknown method {method!r}; valid: {METHODS}")
     mixed, true_unmixing = _draw_trial_data(labels, config, trial_seed)
     t_start = time.perf_counter()
-    whitened, transform = whiten(mixed)
     if method == "FASTICA":
+        whitened, transform = whiten(mixed)
         rotation = fastica_baseline(whitened, seed=derive_seed(trial_seed, 400)).rotation
+        full = rotation @ transform.matrix
     else:
-        opt = fit_config(config, method, seed=derive_seed(trial_seed, 500))
-        rotation = minimize_contrast(whitened, opt).rotation
-    full = rotation @ transform.matrix
+        full, _, _ = fit_unmixing(mixed, OptimizerConfig(
+            m=config.m, gamma=config.gamma, kappa=config.kappa, sigma=config.sigma,
+            restarts=config.restarts, max_iters=config.max_iters,
+            seed=derive_seed(trial_seed, 500), init="fastica", contrast=method.lower()))
     runtime = time.perf_counter() - t_start
     return ExperimentRecord(
         source_labels=labels, N=config.N, method=method, seed=trial_seed,
@@ -193,20 +200,20 @@ class ScalingStudy:
     exponents: dict[str, float]
 
 
-def _time_contrast_evaluation(method: str, n_samples: int, config: BenchmarkConfig,
-                              seed: int, repetitions: int) -> float:
+def _time_contrast_evaluation(n_samples: int, config: OptimizerConfig,
+                              repetitions: int) -> float:
     """Median wall-clock of one evaluation of the fit's objective (not a full fit).
 
-    The objective is the one `minimize_contrast` descends for `method`, built
-    by `make_objective` from `fit_config` on whitened draws of two uniform
-    sources, and evaluated at the identity rotation. One untimed evaluation
-    comes first: without it the first size timed read up to twice its steady
-    time (KGV at N=250 on a 2-CPU box), which moved the fitted exponent.
+    The objective is the one `minimize_contrast` descends, built by
+    `make_objective` from `config` on whitened draws of two uniform sources
+    from `config.seed`, and evaluated at the identity rotation. One untimed
+    evaluation comes first: without it the first size timed read up to twice
+    its steady time (KGV at N=250 on a 2-CPU box), which moved the fitted exponent.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.seed)
     sources = Dataset(rng.uniform(-np.sqrt(3), np.sqrt(3), (2, n_samples)))
     whitened, _ = whiten(sources)
-    objective = make_objective(whitened, fit_config(config, method, seed))
+    objective = make_objective(whitened, config)
     identity = np.eye(2)
     objective(identity)
     times = []
@@ -226,22 +233,21 @@ def fit_runtime_exponent(sizes, seconds) -> float:
 
 
 def run_scaling_study(methods_and_sizes: dict[str, tuple[int, ...]],
-                      config: BenchmarkConfig | None = None,
+                      config: OptimizerConfig = OptimizerConfig(),
                       repetitions: int = 5) -> ScalingStudy:
     """Time contrast evaluations per method per N and fit log-log exponents."""
     for method, sizes in methods_and_sizes.items():
         if len(set(sizes)) < 2:
             raise ValueError(f"{method}: a runtime exponent needs two or more distinct N, "
                              f"got {tuple(sizes)}")
-    config = config or BenchmarkConfig(labels=("c", "c"))
     points = []
     exponents = {}
     for method, sizes in methods_and_sizes.items():
         med = []
         for n_samples in sizes:
-            seconds = _time_contrast_evaluation(method, n_samples, config,
-                                                seed=derive_seed(config.master_seed, n_samples),
-                                                repetitions=repetitions)
+            seconds = _time_contrast_evaluation(n_samples, replace(
+                config, contrast=method.lower(), seed=derive_seed(config.seed, n_samples)),
+                repetitions)
             med.append(seconds)
             points.append(ScalingPoint(method, n_samples, seconds))
         exponents[method] = fit_runtime_exponent(sizes, med)

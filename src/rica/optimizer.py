@@ -90,9 +90,10 @@ class OptimizerConfig:
 class UnmixingModel:
     """What a descent found: the orthogonal rotation of the whitened data.
 
-    The unmixing of the raw data is rotation @ T for the matrix T of the
-    transform that whitened it. `objective_trace` holds the start's value
-    and each accepted step's; `restart_index` is the start it came from.
+    `evaluation.fit_unmixing` returns it with the unmixing of the raw data,
+    rotation @ T for the whitening matrix T. `objective_trace` holds the
+    start's value and each accepted step's; `restart_index` is the start it
+    came from.
     """
 
     rotation: np.ndarray

@@ -9,8 +9,13 @@ from rica.audio import AudioClip, read_wav, separate_audio, write_wav
 from rica.contrast_engine import covariance_blocks, kgv_oracle, rgv
 from rica.data_model import Dataset
 from rica.errors import DegenerateCovariance, MalformedInput, RateMismatch, TooShort
-from rica.evaluation import BenchmarkConfig
+from rica.optimizer import OptimizerConfig
 from rica.random_features import KernelSpec, apply_feature_map, draw_feature_map
+
+
+def separation(seed: int = 0, **settings) -> OptimizerConfig:
+    # the settings `rica separate` fits with by default: one descent of at most 50 iterations
+    return OptimizerConfig(**{"restarts": 1, "max_iters": 50, "seed": seed, **settings})
 
 
 def test_audio_clip_validation():
@@ -46,24 +51,26 @@ def test_read_wav_rejects_stereo(tmp_path):
 
 def test_separate_audio_rate_mismatch():
     with pytest.raises(RateMismatch):
-        separate_audio((synthetic_tone(440, 2.0, 8000), synthetic_tone(440, 2.0, 16000)))
+        separate_audio((synthetic_tone(440, 2.0, 8000), synthetic_tone(440, 2.0, 16000)),
+                       separation())
 
 
 def test_separate_audio_too_short():
     with pytest.raises(TooShort):
-        separate_audio((synthetic_tone(440, 0.05, 8000), synthetic_tone(550, 0.05, 8000)))
+        separate_audio((synthetic_tone(440, 0.05, 8000), synthetic_tone(550, 0.05, 8000)),
+                       separation())
 
 
 def test_separate_audio_identical_clips_degenerate():
     tone = synthetic_tone(440, 2.0, 8000)
     with pytest.raises(DegenerateCovariance):
-        separate_audio((tone, AudioClip(tone.samples.copy(), 8000)), seed=1)
+        separate_audio((tone, AudioClip(tone.samples.copy(), 8000)), separation(1))
 
 
 def test_separate_audio_synthetic_tones():
     tone1 = synthetic_tone(440.0, 10.0, 8000)
     tone2 = synthetic_tone(701.0, 10.0, 8000, phase=0.9)
-    (out1, out2), record = separate_audio((tone1, tone2), method="RGV", seed=3)
+    (out1, out2), record = separate_audio((tone1, tone2), separation(3, contrast="rgv"))
     assert record.amari is not None and record.amari <= 0.10
     assert out1.samples.shape[0] == tone1.samples.shape[0]
     for clip in (out1, out2):
@@ -75,7 +82,7 @@ def test_separate_audio_round_trip_remix():
     # reproduce the recorded mixtures (up to the per-clip normalizations)
     tone1 = synthetic_tone(330.0, 3.0, 8000)
     tone2 = synthetic_tone(880.0, 3.0, 8000, phase=0.4)
-    (out1, out2), record = separate_audio((tone1, tone2), method="RGV", seed=9)
+    (out1, out2), record = separate_audio((tone1, tone2), separation(9, contrast="rgv"))
     # correlation-based check: each output matches one input tone almost exactly
     def best_abs_corr(out, ref):
         n = min(out.shape[0], ref.shape[0])
@@ -92,8 +99,7 @@ def test_separate_audio_kernel_oracle_fits_capped_sample(monkeypatch):
     # the KGV fit uses the shared fit path on at most the oracle limit of samples
     monkeypatch.setattr(audio, "KERNEL_ORACLE_LIMIT", 300)
     clips = (synthetic_tone(440.0, 2.0, 8000), synthetic_tone(650.0, 2.0, 8000, phase=0.5))
-    config = BenchmarkConfig(labels=("audio", "audio"), max_iters=3)
-    _, record = separate_audio(clips, method="kgv", config=config, seed=4)
+    _, record = separate_audio(clips, separation(4, contrast="kgv", max_iters=3))
     assert record.config["fit_samples"] == 300
     assert record.amari <= 0.05
 
@@ -102,8 +108,20 @@ def test_separate_audio_already_mixed_has_no_amari():
     rng = np.random.default_rng(4)
     mixed1 = AudioClip(np.tanh(rng.standard_normal(4000) * 0.3), 8000)
     mixed2 = AudioClip(np.tanh(rng.standard_normal(4000) * 0.3), 8000)
-    (_, _), record = separate_audio((mixed1, mixed2), seed=2, already_mixed=True)
+    (_, _), record = separate_audio((mixed1, mixed2), separation(2), already_mixed=True)
     assert record.amari is None
+
+
+def test_separate_audio_record_holds_the_settings_of_its_fit():
+    # the record's config is the fit's own: no placeholder N, seed or labels
+    clips = (synthetic_tone(440.0, 2.0, 8000), synthetic_tone(650.0, 2.0, 8000, phase=0.5))
+    _, record = separate_audio(clips, separation(3, contrast="rgv", m=64, max_iters=7))
+    assert (record.N, record.seed) == (16000, 3)
+    assert (record.config["seed"], record.config["contrast"], record.config["max_iters"]) \
+        == (3, "rgv", 7)
+    assert record.config.get("N", record.N) == record.N
+    assert record.config.get("master_seed", record.seed) == record.seed
+    assert "labels" not in record.config
 
 
 def test_rgv_evaluation_beats_extrapolated_kgv_on_audio():

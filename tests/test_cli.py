@@ -170,7 +170,7 @@ def test_scaling_seed_reaches_the_study(monkeypatch, tmp_path):
     seen = []
 
     def fake_study(plan, config=None, repetitions=5):
-        seen.append(config.master_seed)
+        seen.append(config.seed)
         return ScalingStudy(points=[], exponents={})
 
     monkeypatch.setattr(cli, "run_scaling_study", fake_study)

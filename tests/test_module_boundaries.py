@@ -3,6 +3,9 @@
 No module imports another rica module's underscore (private) name, no
 module imports scipy, which is a test-only dependency, and no module keeps
 global state: no `logging` import, no module-level dict, list or set.
+There is one fit path: `minimize_contrast` is called only by
+`evaluation.fit_unmixing`, and a `BenchmarkConfig` is built only by
+`cli._bench_config`.
 """
 
 import ast
@@ -57,3 +60,40 @@ def test_the_check_sees_both_kinds_of_violation(tmp_path):
                                 "bad.py:private name _fd_gradient",
                                 "bad.py:scipy import scipy.linalg", "bad.py:scipy import scipy",
                                 "bad.py:logging import logging"]
+
+
+def _fit_sites(path: Path) -> list[str]:
+    """Each call of `minimize_contrast` or `BenchmarkConfig`, as 'module.function:name'."""
+    sites = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name in ("minimize_contrast", "BenchmarkConfig"):
+                    sites.append(f"{path.stem}.{scope or '<module>'}:{name}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), "")
+    return sites
+
+
+def test_one_fit_path():
+    sites = [site for path in SOURCES for site in _fit_sites(path)]
+    assert sorted(sites) == ["cli._bench_config:BenchmarkConfig",
+                             "evaluation.fit_unmixing:minimize_contrast"]
+
+
+def test_the_fit_path_check_sees_a_second_fit_and_a_stray_config(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def fit(whitened, config):\n"
+                   "    return optimizer.minimize_contrast(whitened, config)\n"
+                   "def trial(config):\n"
+                   "    return BenchmarkConfig(labels=('c', 'c'), m=config.m)\n"
+                   "DEFAULT = BenchmarkConfig(labels='rand')\n")
+    assert _fit_sites(bad) == ["bad.fit:minimize_contrast", "bad.trial:BenchmarkConfig",
+                               "bad.<module>:BenchmarkConfig"]
