@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .errors import RicaError
 from .evaluation import (METHODS, MIN_GRID_DEGREES, BenchmarkConfig, fit_unmixing,
                          records_to_csv_rows, rotation_sweep, run_benchmark, run_outlier_study,
                          run_scaling_study, summary_csv_rows, summary_table)
-from .optimizer import CONTRASTS, INITS, KERNEL_CONTRASTS, OptimizerConfig
+from .optimizer import CONTRASTS, KERNEL_CONTRASTS, OptimizerConfig
 from .random_features import KernelSpec, approximation_error_bound, empirical_approx_error
 from .source_bank import catalog, catalog_table, sample_source, spec_by_label
 
@@ -110,7 +111,7 @@ def _plan_arg(text: str) -> dict[str, tuple[int, ...]]:
     plan = {}
     for chunk in _tokens(text):
         token, _, sizes = chunk.partition(":")
-        method, counts = _method(token, CONTRASTS), _ints(sizes, 1, "+")
+        method, counts = _method(token, CONTRASTS), _ints(sizes, 2, "+")
         # the runtime exponent is a fit over sizes, so each method needs two
         if method in plan or len(set(counts)) < 2:
             raise argparse.ArgumentTypeError(
@@ -212,8 +213,7 @@ def _cmd_kernel_bound(args) -> int:
 def _cmd_unmix(args) -> int:
     data = dataset_from_csv(args.infile)
     config = OptimizerConfig(m=args.m, gamma=args.gamma, sigma=args.sigma,
-                             seed=args.seed, restarts=args.restarts,
-                             contrast=args.contrast, init=args.init)
+                             seed=args.seed, restarts=args.restarts, contrast=args.contrast)
     unmixing, transform, model = fit_unmixing(data, config)
     payload = {
         "version": __version__,
@@ -225,8 +225,7 @@ def _cmd_unmix(args) -> int:
         "whitening_matrix": transform.matrix.tolist(),
         "rotation": model.rotation.tolist(),
         "unmixing_matrix": unmixing.tolist(),
-        "config": {"m": args.m, "gamma": args.gamma, "sigma": args.sigma,
-                   "restarts": args.restarts, "init": args.init},
+        "config": asdict(config),
     }
     with open(args.out_model, "w") as handle:
         json.dump(payload, handle, indent=2)
@@ -266,8 +265,7 @@ def build_parser() -> _Parser:
                            help="master seed (required; all randomness derives from it)")
         return p
 
-    p = add("sources", _cmd_sources, "list the 18-entry source density catalog", seeded=False)
-    p.add_argument("--list", action="store_true", help="print the catalog table")
+    add("sources", _cmd_sources, "list the 18-entry source density catalog", seeded=False)
 
     p = add("bench", _cmd_bench, "replicated separation benchmark")
     p.add_argument("--pairs", required=True, help="two or more catalog labels 'c,b', or 'rand'",
@@ -312,7 +310,6 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--contrast", default="rgv",
                    choices=[c for c in CONTRASTS if c not in KERNEL_CONTRASTS])
-    p.add_argument("--init", choices=INITS, default="fastica")
     p.add_argument("--restarts", type=lambda text: _int(text, 1), default=3)
     p.add_argument("--out-model", default="model.json")
     p.add_argument("--out", default=None, help="optional CSV of unmixed data")

@@ -280,12 +280,19 @@ def rgv(pencil: CovariancePencil) -> ContrastEvaluation:
     which equals the pencil form because det B = det(C + gamma I) / det D.
     The Cholesky factor of C + gamma I leads with that of C_11 + gamma I, so
     an evaluation takes n_s factorisations. One that fails raises
-    SingularDiagonal: gamma is too small for the data.
+    SingularDiagonal: gamma is too small for the data. So does a squared
+    pivot diag(L) / diag(L_D) below EIGENVALUE_FLOOR, L and L_D the factors
+    of C + gamma I and D: L_D^-1 L factors the normalised pencil, and no
+    squared pivot is below its smallest eigenvalue.
     """
     m, matrix = pencil.m, pencil.matrix + pencil.gamma * np.eye(len(pencil.matrix))
     factor = _cholesky(matrix)
     block_factors = [factor[:m, :m]] + [_cholesky(matrix[i * m:(i + 1) * m, i * m:(i + 1) * m])
                                         for i in range(1, pencil.n_s)]
+    pivots = np.diagonal(factor)[m:] / np.concatenate([np.diagonal(b) for b in block_factors[1:]])
+    if pivots.min() ** 2 < EIGENVALUE_FLOOR:
+        raise SingularDiagonal(f"squared pencil pivot {pivots.min() ** 2:.3e} below the floor "
+                               f"{EIGENVALUE_FLOOR:.0e}; increase gamma")
     value = 0.5 * (sum(_log_det(block) for block in block_factors) - _log_det(factor))
     return ContrastEvaluation(value, partial(_rgv_weights, factor, block_factors))
 

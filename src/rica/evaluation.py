@@ -10,7 +10,7 @@ applied only when reporting.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -30,6 +30,8 @@ MIN_GRID_DEGREES = 0.01  # the finest `rotation_sweep` grid step
 
 @dataclass(frozen=True)
 class ExperimentRecord:
+    """One separation; `config` is `dataclasses.asdict` of the config it ran with."""
+
     source_labels: tuple[str, ...]
     N: int
     method: str
@@ -59,14 +61,6 @@ class BenchmarkConfig:
     restarts: int = 1
     max_iters: int = 50
     outlier_count: int = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "labels": self.labels if isinstance(self.labels, str) else "+".join(self.labels),
-            "N": self.N, "m": self.m, "gamma": self.gamma, "kappa": self.kappa,
-            "sigma": self.sigma, "restarts": self.restarts, "max_iters": self.max_iters,
-            "outlier_count": self.outlier_count, "master_seed": self.master_seed,
-        }
 
 
 def amari_distance(v_mat: np.ndarray, w_mat: np.ndarray) -> float:
@@ -147,12 +141,12 @@ def run_single_trial(labels: tuple[str, ...], method: str, config: BenchmarkConf
         full, _, _ = fit_unmixing(mixed, OptimizerConfig(
             m=config.m, gamma=config.gamma, kappa=config.kappa, sigma=config.sigma,
             restarts=config.restarts, max_iters=config.max_iters,
-            seed=derive_seed(trial_seed, 500), init="fastica", contrast=method.lower()))
+            seed=derive_seed(trial_seed, 500), contrast=method.lower()))
     runtime = time.perf_counter() - t_start
     return ExperimentRecord(
         source_labels=labels, N=config.N, method=method, seed=trial_seed,
         amari=amari_distance(full, true_unmixing), runtime_seconds=runtime,
-        config=config.snapshot(),
+        config=asdict(config),
     )
 
 

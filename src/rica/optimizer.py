@@ -53,6 +53,8 @@ from .errors import DimensionMismatch, NoProgress
 from .random_features import ChebyshevBasis, FeatureMap, KernelSpec, draw_feature_map
 
 ARMIJO_C = 1e-4
+TOL = 1e-5  # `descend`'s tol in every fit: the least improvement of an accepted step
+WHITENED_TOL = 1e-5  # largest entry of cov - I that `make_objective` accepts
 LINE_SEARCH_MAX_TRIALS = 30
 # a backtracking trial after a rejected step t lies in [BACKTRACK_MIN t, BACKTRACK_MAX t]
 BACKTRACK_MIN, BACKTRACK_MAX = 0.1, 0.5
@@ -61,7 +63,6 @@ FASTICA_TOL = 1e-6
 FASTICA_MAX_SWEEPS = 200
 CONTRASTS = ("rcc", "rgv", "kcc", "kgv")
 KERNEL_CONTRASTS = ("kcc", "kgv")  # the exact kernel oracles; rcc and rgv use random features
-INITS = ("random", "fastica")  # the first start: Haar-random or FastICA's rotation
 
 
 @dataclass(frozen=True)
@@ -70,18 +71,14 @@ class OptimizerConfig:
     gamma: float = DEFAULT_GAMMA
     kappa: float = DEFAULT_KAPPA
     sigma: float = DEFAULT_SIGMA
-    tol: float = 1e-5
     max_iters: int = 100
     restarts: int = 3
     seed: int = 0
-    init: str = "fastica"  # one of INITS
     contrast: str = "rgv"  # one of CONTRASTS
 
     def __post_init__(self):
-        if self.tol <= 0 or self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("tol must be positive; max_iters, restarts >= 1")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}")
+        if self.max_iters < 1 or self.restarts < 1:
+            raise ValueError("max_iters and restarts must be >= 1")
         if self.contrast not in CONTRASTS:
             raise ValueError(f"unknown contrast {self.contrast!r}")
 
@@ -168,10 +165,10 @@ def derive_seed(*keys: int) -> int:
     return int(np.random.SeedSequence(keys).generate_state(1)[0])
 
 
-def _check_whitened(values: np.ndarray, tol: float = 1e-5) -> None:
+def _check_whitened(values: np.ndarray) -> None:
     # Whitened data is centered here, so the covariance is taken about zero.
     cov = values @ values.T / values.shape[1]
-    if np.abs(cov - np.eye(values.shape[0])).max() > tol:
+    if np.abs(cov - np.eye(values.shape[0])).max() > WHITENED_TOL:
         raise ValueError("optimizer input must be whitened (identity covariance)")
 
 
@@ -389,7 +386,7 @@ def fastica_baseline(whitened: Dataset, seed: int) -> FastICAResult:
 
 def _start(whitened: Dataset, config: OptimizerConfig, restart: int) -> np.ndarray:
     n = whitened.d
-    if restart == 0 and config.init == "fastica":
+    if restart == 0:
         return fastica_baseline(whitened, seed=derive_seed(config.seed, 7310, 0)).rotation
     # Haar-distributed on O(n): QR of a Gaussian matrix, signs fixed by diag(R).
     rng = np.random.default_rng(derive_seed(config.seed, 7310, restart))
@@ -400,7 +397,7 @@ def _start(whitened: Dataset, config: OptimizerConfig, restart: int) -> np.ndarr
 def minimize_contrast(whitened: Dataset, config: OptimizerConfig) -> UnmixingModel:
     """Run `restarts` descents from different starts; keep the lowest contrast.
 
-    The first start honors config.init; later restarts are random. The
+    The first start is FastICA's rotation; later restarts are Haar-random. The
     objective is one fixed deterministic function for the whole run (RCC/RGV
     feature maps are drawn once from config.seed and shared by every restart).
     """
@@ -410,7 +407,7 @@ def minimize_contrast(whitened: Dataset, config: OptimizerConfig) -> UnmixingMod
     for restart in range(config.restarts):
         start = _start(whitened, config, restart)
         try:
-            model = descend(objective, start, config.tol, config.max_iters)
+            model = descend(objective, start, TOL, config.max_iters)
         except NoProgress:
             # A start already at a sharp minimum can fail its first search;
             # keep it as a (zero-iteration) candidate rather than discarding.

@@ -115,13 +115,12 @@ def test_separate_audio_already_mixed_has_no_amari():
 def test_separate_audio_record_holds_the_settings_of_its_fit():
     # the record's config is the fit's own: no placeholder N, seed or labels
     clips = (synthetic_tone(440.0, 2.0, 8000), synthetic_tone(650.0, 2.0, 8000, phase=0.5))
-    _, record = separate_audio(clips, separation(3, contrast="rgv", m=64, max_iters=7))
+    config = separation(3, contrast="rgv", m=64, max_iters=7)
+    _, record = separate_audio(clips, config, fit_samples=4000)
     assert (record.N, record.seed) == (16000, 3)
-    assert (record.config["seed"], record.config["contrast"], record.config["max_iters"]) \
-        == (3, "rgv", 7)
-    assert record.config.get("N", record.N) == record.N
-    assert record.config.get("master_seed", record.seed) == record.seed
-    assert "labels" not in record.config
+    fit = {k: v for k, v in record.config.items() if k not in ("fit_samples", "already_mixed")}
+    assert OptimizerConfig(**fit) == config
+    assert (record.config["fit_samples"], record.config["already_mixed"]) == (4000, False)
 
 
 def test_rgv_evaluation_beats_extrapolated_kgv_on_audio():

@@ -11,6 +11,7 @@ from rica.audio import write_wav
 from rica.cli import main
 from rica.data_model import Dataset, dataset_to_csv, mix, random_mixing_matrix
 from rica.evaluation import ScalingStudy
+from rica.optimizer import OptimizerConfig
 from rica.source_bank import sample_source, spec_by_label
 
 
@@ -39,7 +40,7 @@ def test_seed_is_mandatory_for_stochastic_subcommands():
 
 
 def test_sources_list(capsys):
-    assert run_cli(["sources", "--list"]) == 0
+    assert run_cli(["sources"]) == 0
     out = capsys.readouterr().out
     assert "label" in out and "student_t" in out
 
@@ -139,6 +140,9 @@ def test_unmix_writes_model_json(tmp_path):
     assert payload["contrast"] == "RGV"
     assert np.shape(payload["rotation"]) == (2, 2)
     assert np.isfinite(payload["final_contrast"])
+    # the recorded config rebuilds the one the fit ran with
+    assert OptimizerConfig(**payload["config"]) == OptimizerConfig(m=64, restarts=1, seed=7,
+                                                                   contrast="rgv")
     assert out_path.exists()
 
 
@@ -294,6 +298,7 @@ def test_every_numeric_flag_refuses_non_finite_numbers(command, flag, value, tmp
     ["scaling", "--plan", "rgv"],
     ["scaling", "--plan", "rgv:abc"],
     ["scaling", "--plan", "rgv:200"],
+    ["scaling", "--plan", "rgv:1+100"],  # whitening needs two samples
     ["outliers", "--pair", "c,b", "--counts", "0,x"],
     ["outliers", "--pair", "c"],
     ["kernel-bound", "--m-list", "10,a"],

@@ -350,14 +350,18 @@ def _identical_variables():
     return [data, Dataset(data.values.copy())]
 
 
-@pytest.mark.parametrize("contrast", [
+@pytest.mark.parametrize("contrast, reason", [
     # 1 - rho underflows the floor
-    lambda: rcc(covariance_blocks(_identical_features(), gamma=1e-13)),
-    lambda: kcc_oracle(_identical_variables(), KERNEL, kappa=1e-14),
-    lambda: kgv_oracle(_identical_variables(), KERNEL, kappa=1e-14),
-], ids=["rcc", "kcc_oracle", "kgv_oracle"])
-def test_singular_pencil_raises(contrast):
-    with pytest.raises(SingularDiagonal, match="increase gamma"):
+    (lambda: rcc(covariance_blocks(_identical_features(), gamma=1e-13)), "below the floor"),
+    # a squared pivot of the normalized pencil, 8.1e-14, is below the floor
+    (lambda: rgv(covariance_blocks(_identical_features(), gamma=1e-15)), "below the floor"),
+    (lambda: rcc(covariance_blocks(_identical_features(), gamma=1e-20)), "not positive definite"),
+    (lambda: rgv(covariance_blocks(_identical_features(), gamma=1e-20)), "not positive definite"),
+    (lambda: kcc_oracle(_identical_variables(), KERNEL, kappa=1e-14), "below the floor"),
+    (lambda: kgv_oracle(_identical_variables(), KERNEL, kappa=1e-14), "below the floor"),
+], ids=["rcc", "rgv", "rcc_cholesky", "rgv_cholesky", "kcc_oracle", "kgv_oracle"])
+def test_singular_pencil_raises(contrast, reason):
+    with pytest.raises(SingularDiagonal, match=f"{reason}.*increase gamma"):
         contrast()
 
 

@@ -82,7 +82,10 @@ def test_single_trial_reproducible_from_derived_seed():
                              **FAST_CONFIG)
     records = run_benchmark(config)
     target = records[2]  # replicate 2, RGV
-    replay = run_single_trial(target.source_labels, "RGV", config, target.seed)
+    # the record's config rebuilds the run's own
+    assert BenchmarkConfig(**target.config) == config
+    replay = run_single_trial(target.source_labels, "RGV", BenchmarkConfig(**target.config),
+                              target.seed)
     assert replay.amari == target.amari
 
 

@@ -5,7 +5,8 @@ module imports scipy, which is a test-only dependency, and no module keeps
 global state: no `logging` import, no module-level dict, list or set.
 There is one fit path: `minimize_contrast` is called only by
 `evaluation.fit_unmixing`, and a `BenchmarkConfig` is built only by
-`cli._bench_config`.
+`cli._bench_config`. Every command-line option of `cli` is read as
+`args.<dest>`.
 """
 
 import ast
@@ -97,3 +98,38 @@ def test_the_fit_path_check_sees_a_second_fit_and_a_stray_config(tmp_path):
                    "DEFAULT = BenchmarkConfig(labels='rand')\n")
     assert _fit_sites(bad) == ["bad.fit:minimize_contrast", "bad.trial:BenchmarkConfig",
                                "bad.<module>:BenchmarkConfig"]
+
+
+def _unread_options(path: Path) -> list[str]:
+    """Each `add_argument` option (but --version) whose dest is never read as `args.<dest>`."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    unread = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "add_argument" and node.args):
+            continue
+        option = node.args[0].value
+        dest = next((kw.value.value for kw in node.keywords if kw.arg == "dest"),
+                    option.lstrip("-").replace("-", "_"))
+        if option != "--version" and dest not in read:
+            unread.append(option)
+    return unread
+
+
+def test_every_cli_option_is_read():
+    cli = next(path for path in SOURCES if path.name == "cli.py")
+    assert _unread_options(cli) == []
+
+
+def test_the_option_check_sees_an_unread_option(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def build(p):\n"
+                   "    p.add_argument('--version', action='version')\n"
+                   "    p.add_argument('--in', dest='infile')\n"
+                   "    p.add_argument('--out-model')\n"
+                   "    p.add_argument('--list', action='store_true')\n"
+                   "def run(args):\n"
+                   "    return args.infile, args.out_model\n")
+    assert _unread_options(bad) == ["--list"]

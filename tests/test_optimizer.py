@@ -10,10 +10,10 @@ from rica.contrast_engine import covariance_blocks, rcc, rgv
 from rica.data_model import Dataset, mix, random_mixing_matrix, whiten
 from rica.errors import NoProgress
 from rica.evaluation import BenchmarkConfig, amari_distance, run_benchmark
-from rica.optimizer import (ARMIJO_C, BACKTRACK_MAX, BACKTRACK_MIN, FD_STEP, OptimizerConfig,
-                            descend, draw_objective_maps, expm_skew, fastica_baseline,
-                            finite_diff_gradient, make_objective, minimize_contrast,
-                            plane_rotation)
+from rica.optimizer import (ARMIJO_C, BACKTRACK_MAX, BACKTRACK_MIN, FD_STEP, TOL,
+                            OptimizerConfig, derive_seed, descend, draw_objective_maps,
+                            expm_skew, fastica_baseline, finite_diff_gradient, make_objective,
+                            minimize_contrast, plane_rotation)
 from rica.random_features import apply_feature_map
 from rica.source_bank import sample_source, spec_by_label
 
@@ -131,10 +131,19 @@ def test_gradient_step_halving_consistency():
     assert err_h2 <= 0.5 * err_h + 1e-8
 
 
+@pytest.mark.parametrize("field, value", [("max_iters", 0), ("restarts", 0),
+                                          ("contrast", "fastica")])
+def test_optimizer_config_refuses_an_unusable_setting(field, value):
+    with pytest.raises(ValueError):
+        OptimizerConfig(**{field: value})
+
+
 def test_gradient_small_at_located_minimum():
+    # descended with a tol below TOL from the FastICA start minimize_contrast takes
     data = whitened_uniform_pair(1500, seed=9)
-    config = OptimizerConfig(seed=13, contrast="rgv", tol=1e-7, restarts=1)
-    model = minimize_contrast(data, config)
+    config = OptimizerConfig(seed=13, contrast="rgv")
+    start = fastica_baseline(data, seed=derive_seed(config.seed, 7310, 0)).rotation
+    model = descend(make_objective(data, config), start, 1e-7, config.max_iters)
     grad = finite_diff_gradient(model.rotation, data, config)
     assert np.linalg.norm(grad) <= 1e-3
 
@@ -166,6 +175,37 @@ def test_descend_stops_at_a_start_stationary_to_rounding():
     model = descend(Bowl(), np.eye(2), tol=1e-8, max_iters=5)
     assert model.iterations == 0 and model.final_contrast == 0.0
     np.testing.assert_array_equal(model.rotation, np.eye(2))
+
+
+def test_descend_stops_without_a_step_where_the_slopes_are_zero():
+    class Flat:
+        def __call__(self, q):
+            return 1.0
+
+        def slopes(self, q):
+            return np.zeros(1)
+
+    model = descend(Flat(), rotation(0.3), tol=1e-8, max_iters=5)
+    assert model.iterations == 0 and model.objective_trace == (1.0,)
+
+
+def test_minimize_contrast_raises_no_progress_when_every_restart_fails(monkeypatch):
+    class Rising:
+        """Each evaluation exceeds the last, so no line search finds a decrease."""
+
+        def __init__(self):
+            self.calls = 0
+
+        def __call__(self, q):
+            self.calls += 1
+            return float(self.calls)
+
+        def slopes(self, q):
+            return np.ones(1)
+
+    monkeypatch.setattr(optimizer, "make_objective", lambda whitened, config: Rising())
+    with pytest.raises(NoProgress, match="every restart"):
+        minimize_contrast(whitened_uniform_pair(200, seed=1), OptimizerConfig(restarts=2))
 
 
 def angle(q):
@@ -210,6 +250,19 @@ def test_descend_backtracks_to_the_minimiser_of_the_interpolating_quadratic(a, b
     assert model.objective_trace[1] == a * trials[1] ** 2  # accepted at its one evaluation
     if a == 3.0:  # the minimiser is the minimum
         assert abs(angle(model.rotation)) <= 1e-12
+
+
+def test_descend_halves_after_a_trial_without_a_value():
+    # f = 3 theta^2 is NaN beyond |theta| = 0.5, where t = 1 lands from 0.2:
+    # the next trial is t / 2, as it is wherever the interpolating quadratic
+    # has no positive curvature
+    theta0 = 0.2
+    objective = AngleObjective(lambda th: 3.0 * th ** 2 if abs(th) <= 0.5 else np.nan,
+                               lambda th: 6.0 * th)
+    descend(objective, rotation(theta0), tol=1e-10, max_iters=10)
+    np.testing.assert_allclose(quadratic_steps(3.0, theta0, objective.angles[1:3]), [1.0, 0.5],
+                               rtol=1e-12)
+    assert optimizer._backtrack(1.0, -2.0, 1.0) == 0.5  # curvature -1
 
 
 def test_descend_second_search_tries_the_secant_step():
@@ -527,8 +580,8 @@ def test_minimize_contrast_given_init_at_truth():
     config = OptimizerConfig(seed=2, contrast="rgv", restarts=1)
     objective = make_objective(whitened, config)
     start_value = objective(np.eye(2))
-    model = descend(objective, np.eye(2), config.tol, config.max_iters)
-    assert model.final_contrast <= start_value + config.tol
+    model = descend(objective, np.eye(2), TOL, config.max_iters)
+    assert model.final_contrast <= start_value + TOL
     assert amari_distance(model.rotation @ transform.matrix, np.eye(2)) <= 0.02
 
 
