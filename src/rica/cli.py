@@ -197,11 +197,11 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_kernel_bound(args) -> int:
     rng = np.random.default_rng(args.seed)
-    data = Dataset(rng.standard_normal((1, args.n)))
+    samples = rng.standard_normal(args.n)
     kernel = KernelSpec(sigma=args.sigma)
     rows = ["m,empirical_error_mean,analytic_bound"]
     for m in args.m_list:
-        errors = [empirical_approx_error(kernel, data, m, seed=args.seed + 1 + s)
+        errors = [empirical_approx_error(kernel, samples, m, seed=args.seed + 1 + s)
                   for s in range(args.seeds)]
         rows.append(f"{m},{repr(float(np.mean(errors)))},"
                     f"{repr(approximation_error_bound(args.n, m))}")

@@ -37,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 
-from .data_model import Dataset
 from .errors import OracleSizeExceeded, SampleMismatch, SingularDiagonal
 from .random_features import KernelSpec, gram_matrix
 
@@ -297,28 +296,26 @@ def rgv(pencil: CovariancePencil) -> ContrastEvaluation:
     return ContrastEvaluation(value, partial(_rgv_weights, factor, block_factors))
 
 
-def _centered_grams(datasets: list[Dataset], kernel: KernelSpec) -> list[np.ndarray]:
-    if len(datasets) < 2:
+def _centered_grams(components: np.ndarray, kernel: KernelSpec) -> list[np.ndarray]:
+    n_s, n_samples = components.shape
+    if n_s < 2:
         raise SampleMismatch("need at least two variables")
-    n_samples = datasets[0].N
-    for ds in datasets:
-        if ds.N != n_samples:
-            raise SampleMismatch(f"sample counts differ: {ds.N} vs {n_samples}")
     if n_samples > KERNEL_ORACLE_LIMIT:
         raise OracleSizeExceeded(
             f"N={n_samples} exceeds the kernel oracle limit {KERNEL_ORACLE_LIMIT}")
     grams = []
-    for ds in datasets:
-        gram = gram_matrix(kernel, ds)
+    for samples in components:
+        gram = gram_matrix(kernel, samples)
         centered = gram - gram.mean(axis=0, keepdims=True)
         centered -= centered.mean(axis=1, keepdims=True)
         grams.append(0.5 * (centered + centered.T))
     return grams
 
 
-def kernel_pencil_spectrum(datasets: list[Dataset], kernel: KernelSpec,
+def kernel_pencil_spectrum(components: np.ndarray, kernel: KernelSpec,
                            kappa: float = DEFAULT_KAPPA) -> np.ndarray:
-    """Eigenvalues, descending, of the exact regularized kernel CCA pencil.
+    """Eigenvalues, descending, of the exact regularized kernel CCA pencil of
+    the rows of an (n, N) array of components.
 
     Off-diagonal blocks are K_i K_j on centered Gram matrices; diagonal blocks
     (K_i + (N kappa / 2) I)^2. The normalized off blocks become G_i G_j with
@@ -327,7 +324,7 @@ def kernel_pencil_spectrum(datasets: list[Dataset], kernel: KernelSpec,
     Raises OracleSizeExceeded above KERNEL_ORACLE_LIMIT samples, and
     SingularDiagonal unless 0 < N kappa / 2 < inf.
     """
-    grams = _centered_grams(datasets, kernel)
+    grams = _centered_grams(components, kernel)
     n_samples = grams[0].shape[0]
     c = n_samples * kappa / 2.0
     if not 0 < c < np.inf:
@@ -339,11 +336,11 @@ def kernel_pencil_spectrum(datasets: list[Dataset], kernel: KernelSpec,
     return _normalized_spectrum(lambda i, j: filters[i] @ filters[j], len(grams), n_samples)
 
 
-def kcc_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
-    """Exact kernel canonical correlation contrast: -1/2 log(mu_min)."""
-    return _neg_half_log(kernel_pencil_spectrum(datasets, kernel, kappa)[-1:])
+def kcc_oracle(components: np.ndarray, kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
+    """Exact kernel canonical correlation contrast of an (n, N) array: -1/2 log(mu_min)."""
+    return _neg_half_log(kernel_pencil_spectrum(components, kernel, kappa)[-1:])
 
 
-def kgv_oracle(datasets: list[Dataset], kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
-    """Exact kernel generalized variance contrast: -1/2 sum_k log(mu_k)."""
-    return _neg_half_log(kernel_pencil_spectrum(datasets, kernel, kappa))
+def kgv_oracle(components: np.ndarray, kernel: KernelSpec, kappa: float = DEFAULT_KAPPA) -> float:
+    """Exact kernel generalized variance contrast of an (n, N) array: -1/2 sum_k log(mu_k)."""
+    return _neg_half_log(kernel_pencil_spectrum(components, kernel, kappa))

@@ -21,12 +21,16 @@ EIGEN_FLOOR = 1e-12  # relative eigenvalue floor of a full-rank covariance
 
 @dataclass(frozen=True)
 class Dataset:
-    """A d x N matrix of samples: rows are dimensions/components, columns samples."""
+    """A d x N matrix of samples: rows are dimensions/components, columns samples.
+
+    It holds a read-only copy of the values it is given, so the caller's
+    array stays writeable and later writes to it do not reach the dataset.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.ascontiguousarray(np.asarray(self.values, dtype=float))
+        v = np.array(self.values, dtype=float, order="C")
         if v.ndim != 2:
             raise DimensionMismatch(f"dataset must be 2-D, got shape {v.shape}")
         if v.shape[0] < 1 or v.shape[1] < 1:

@@ -153,8 +153,8 @@ def draw_objective_maps(config: OptimizerConfig, n_components: int) -> list[Feat
     maps = []
     half = (config.m + 1) // 2
     for comp in range(n_components):
-        base = draw_feature_map(kernel, half, 1, seed=derive_seed(config.seed, 9001, comp))
-        freqs = np.vstack([base.frequencies, base.frequencies])
+        base = draw_feature_map(kernel, half, seed=derive_seed(config.seed, 9001, comp))
+        freqs = np.concatenate([base.frequencies, base.frequencies])
         phases = np.concatenate([base.phases, 2.0 * np.pi - base.phases])
         maps.append(FeatureMap(frequencies=freqs, phases=phases))
     return maps
@@ -182,9 +182,7 @@ class _KernelObjective:
         self.kappa = config.kappa
 
     def __call__(self, q: np.ndarray) -> float:
-        rotated = q @ self.values
-        parts = [Dataset(rotated[i:i + 1]) for i in range(len(rotated))]
-        return self.oracle(parts, self.kernel, kappa=self.kappa)
+        return self.oracle(q @ self.values, self.kernel, kappa=self.kappa)
 
     def slopes(self, q: np.ndarray) -> np.ndarray:
         # the oracles have no closed-form slopes: two evaluations per plane
@@ -300,7 +298,9 @@ def descend(objective, start: np.ndarray, tol: float, max_iters: int) -> Unmixin
     y = g' - g the change of slopes, both in plane coordinates of the moving
     chart (for n = 2, the secant step on the rotation angle). Where
     s'y <= 0 it starts from min(1, 2t) instead.
-    Every accepted step decreases the value, so the trace is monotone, and
+    A trial is accepted only if its value is strictly below
+    f - ARMIJO_C t |g|^2, so every accepted step decreases the value, even
+    where that bound rounds to f itself: the trace is strictly monotone, and
     the iterations are the accepted steps. Raises NoProgress if the very
     first line search fails to find a decrease although the squared slope
     norm is at least tol.
@@ -324,7 +324,7 @@ def descend(objective, start: np.ndarray, tol: float, max_iters: int) -> Unmixin
         for _ in range(LINE_SEARCH_MAX_TRIALS):
             candidate = expm_skew(-step * direction) @ q
             cand_value = objective(candidate)
-            if cand_value <= value - ARMIJO_C * step * grad_sq:
+            if cand_value < value - ARMIJO_C * step * grad_sq:
                 accepted = True
                 break
             step = _backtrack(step, cand_value - value, grad_sq)

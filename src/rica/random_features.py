@@ -2,10 +2,12 @@
 the exact Gram-matrix oracle, and the expected operator-norm error bound for
 the approximation.
 
-Feature convention: z(x) = sqrt(2/m) * [cos(w_1^T x + b_1), ..., cos(w_m^T x + b_m)]
-with frequencies w_i drawn from the kernel's spectral density and phases b_i
-uniform on [0, 2*pi), which makes E<z(x), z(y)> = k(x, y) and E<z(x), z(x)> = 1.
-On a bounded interval [-rho, rho] the m features of a 1-D map span only about
+Every map acts on one scalar component, as RCC/RGV and KCC/KGV measure
+dependence between the components of the rotated data. Feature convention:
+z(y) = sqrt(2/m) * [cos(w_1 y + b_1), ..., cos(w_m y + b_m)] with frequencies
+w_i drawn from the kernel's spectral density and phases b_i uniform on
+[0, 2*pi), which makes E<z(x), z(y)> = k(x, y) and E<z(y), z(y)> = 1.
+On a bounded interval [-rho, rho] the m features of a map span only about
 d = e rho max|w| / 2 dimensions: the Chebyshev coefficients of cos(a t + b)
 are 2 J_k(a) times cos b or sin b, which fall below 2^-52 past such a d
 (Jacobi-Anger; Trefethen 2013). `ChebyshevBasis` works with T_1..T_d
@@ -20,16 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data_model import Dataset
-from .errors import DimensionMismatch
-
 POWER_TOL = 1e-6  # relative change of the power-iteration estimate that stops it
 POWER_MAX_ITERS = 1000
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Gaussian kernel k(x, y) = exp(-||x - y||^2 / (2 sigma^2))."""
+    """Gaussian kernel k(x, y) = exp(-(x - y)^2 / (2 sigma^2))."""
 
     sigma: float
 
@@ -40,45 +39,40 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class FeatureMap:
-    """m frequency vectors and m phases defining z(.) for one variable."""
+    """m frequencies and m phases defining z(.) for one scalar component."""
 
-    frequencies: np.ndarray  # (m, d)
+    frequencies: np.ndarray  # (m,)
     phases: np.ndarray  # (m,)
 
     @property
     def m(self) -> int:
-        return self.frequencies.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.frequencies.shape[1]
+        return len(self.frequencies)
 
 
-def draw_feature_map(kernel: KernelSpec, m: int, d: int, seed: int) -> FeatureMap:
+def draw_feature_map(kernel: KernelSpec, m: int, seed: int) -> FeatureMap:
     """Sample m frequencies from the kernel's spectral density and m phases.
 
-    For the Gaussian kernel the spectral density is Gaussian with per-coordinate
-    standard deviation 1/sigma. The base Gaussian draw is made before scaling,
-    so maps drawn with the same seed and different sigma differ only by the
-    1/sigma factor.
+    For the Gaussian kernel the spectral density is Gaussian with standard
+    deviation 1/sigma. The base Gaussian draw is made before scaling, so maps
+    drawn with the same seed and different sigma differ only by the 1/sigma
+    factor.
     """
-    if m < 1 or d < 1:
-        raise ValueError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
+    if m < 1:
+        raise ValueError(f"need m >= 1, got m={m}")
     rng = np.random.default_rng(seed)
-    base = rng.standard_normal((m, d))
+    base = rng.standard_normal(m)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=m)
     return FeatureMap(frequencies=base / kernel.sigma, phases=phases)
 
 
-def apply_feature_map(fmap: FeatureMap, data: Dataset) -> np.ndarray:
-    """Evaluate z on every sample column; returns an (m, N) matrix.
+def apply_feature_map(fmap: FeatureMap, samples: np.ndarray) -> np.ndarray:
+    """Evaluate z on a 1-D array of N samples; returns an (m, N) matrix.
 
-    Entry (i, k) = sqrt(2/m) * cos(w_i^T x^k + b_i), so every entry lies in
+    Entry (i, k) = sqrt(2/m) * cos(w_i y_k + b_i), so every entry lies in
     [-sqrt(2/m), sqrt(2/m)].
     """
-    if data.d != fmap.d:
-        raise DimensionMismatch(f"feature map is {fmap.d}-dim, data is {data.d}-dim")
-    return np.sqrt(2.0 / fmap.m) * np.cos(fmap.frequencies @ data.values + fmap.phases[:, None])
+    return np.sqrt(2.0 / fmap.m) * np.cos(np.multiply.outer(fmap.frequencies, samples)
+                                          + fmap.phases[:, None])
 
 
 def chebyshev_degree(bandwidth: float) -> int:
@@ -109,7 +103,7 @@ def chebyshev_coefficients(fmap: FeatureMap, radius: float, degree: int) -> np.n
     """
     turns = np.outer(np.arange(degree + 1), 2 * np.arange(degree + 1) + 1) % (4 * (degree + 1))
     cosines = np.cos(turns * (np.pi / (2 * (degree + 1))))  # T_k(t_j); row 1 holds t_j
-    values = apply_feature_map(fmap, Dataset(radius * cosines[1:2]))
+    values = apply_feature_map(fmap, radius * cosines[1])
     coefficients = values @ cosines.T
     coefficients *= 2.0 / (degree + 1)
     coefficients[:, 0] *= 0.5
@@ -167,9 +161,9 @@ class ChebyshevBasis:
     are degree-ordered with Bessel decay, and a dropped row moves a contrast
     by O(tol^2 ||S|| / gamma), far below rounding (Bach & Jordan 2002 fit
     each Gram matrix at its numerical rank the same way; on c,b data r is
-    about 26 where d is about 45). `evaluate` forms U by the three-term
-    recurrence, with no sine or cosine. `row_moments` reads those rows once
-    and never centres them: S's diagonal blocks come from the 2d + 1
+    about 26 where d is about 45). `row_moments` forms U by the three-term
+    recurrence, with no sine or cosine, reads those rows once and never
+    centres them: S's diagonal blocks come from the 2d + 1
     moments E[T_k(t_i)] through T_a T_b = (T_(a+b) + T_|a-b|) / 2, and only
     its cross blocks from products of the rows. `compress` takes S to
     R S R^T, and its adjoint `expand` takes a contrast's M over the pencil
@@ -181,8 +175,8 @@ class ChebyshevBasis:
 
     def __init__(self, maps: list[FeatureMap], radius: float):
         m = maps[0].m
-        if any(fmap.d != 1 or fmap.m != m for fmap in maps):
-            raise ValueError("ChebyshevBasis needs 1-D maps of equal size")
+        if any(fmap.m != m for fmap in maps):
+            raise ValueError("ChebyshevBasis needs maps of equal size")
         if not radius > 0.0:
             raise ValueError(f"radius must be positive, got {radius}")
         self.radius = radius
@@ -207,35 +201,14 @@ class ChebyshevBasis:
         # a + b and |a - b| for a, b = 1..d: the Hankel and Toeplitz indices of T_a T_b
         self._hankel, self._toeplitz = a + l + 1, np.abs(a + 1 - l)
 
-    def evaluate(self, components: np.ndarray) -> np.ndarray:
-        """U for the rows y_i of an (n, N) array: the (n d, N) stack of T_1..T_d(y_i / radius).
-
-        Raises ValueError where a component leaves [-radius, radius] by more
-        than rounding, where the interpolant would extrapolate.
-        """
-        rows = np.empty((len(components), self.degree, components.shape[1]))
-        self._recurrence(components, rows.swapaxes(0, 1))
-        return rows.reshape(-1, components.shape[1])
-
-    def _recurrence(self, components: np.ndarray, steps: np.ndarray) -> None:
-        """Write T_k(y_i / radius) into steps[k - 1, i] of a (d, n, N) array or view."""
-        t = np.divide(components, self.radius, out=steps[0])
-        reach = np.abs(t).max()
-        if reach > 1.0 + 1e-12:
-            raise ValueError(f"components reach {reach:.6g} times the basis radius "
-                             f"{self.radius:.6g}; the rotation must be orthogonal")
-        two_t = 2.0 * t
-        previous = 1.0
-        for k in range(1, self.degree):
-            np.multiply(two_t, steps[k - 1], out=steps[k])
-            steps[k] -= previous
-            previous = steps[k - 1]
-
     def row_moments(self, components: np.ndarray) -> RowMoments:
         """S = cov(U) and what the slopes need, for the rows y_i of an (n, N) array.
 
-        After the recurrence the uncentred rows are read once. Component i's
-        rows meet, in one product over the samples, the vectors 1 and
+        The rows T_k(t_i), t_i = y_i / radius, come from the recurrence
+        T_(k+1) = 2 t T_k - T_(k-1), with no sine or cosine. A component that
+        leaves [-radius, radius] by more than rounding, where the interpolant
+        would extrapolate, raises ValueError. The uncentred rows are then read
+        once. Component i's rows meet, in one product over the samples, the vectors 1 and
         T_d(t_i), which give the means mu_i and E[T_a T_d], hence every
         moment p_k = E[T_k(t_i)], k <= 2d, by T_(d+a) = 2 T_d T_a - T_(d-a);
         the diagonal block S_ii[a, b] = (p_(a+b) + p_|a-b|) / 2 - mu_ia mu_ib
@@ -250,7 +223,17 @@ class ChebyshevBasis:
         # steps[k - 1, i] = T_k(t_i): degree-major, so that each recurrence
         # step is one contiguous pass over n N samples
         steps = np.empty((d, n, size))
-        self._recurrence(components, steps)
+        t = np.divide(components, self.radius, out=steps[0])
+        reach = np.abs(t).max()
+        if reach > 1.0 + 1e-12:
+            raise ValueError(f"components reach {reach:.6g} times the basis radius "
+                             f"{self.radius:.6g}; the rotation must be orthogonal")
+        two_t = 2.0 * t
+        previous = 1.0
+        for k in range(1, d):
+            np.multiply(two_t, steps[k - 1], out=steps[k])
+            steps[k] -= previous
+            previous = steps[k - 1]
         rows = steps.swapaxes(0, 1)
         top = steps[-1]  # T_d(t_i)
         vectors = np.empty((n, 4 if n == 2 else 2, size))
@@ -371,16 +354,14 @@ class ChebyshevBasis:
         return np.array([[0.0, g[0]], [g[1], 0.0]])
 
 
-def gram_matrix(kernel: KernelSpec, data: Dataset) -> np.ndarray:
-    """Exact N x N kernel matrix (O(N^2) memory; the kernel oracles cap N)."""
-    x = data.values
-    sq = np.sum(x * x, axis=0)
-    dist2 = sq[:, None] + sq[None, :] - 2.0 * (x.T @ x)
-    np.maximum(dist2, 0.0, out=dist2)
-    gram = np.exp(-dist2 / (2.0 * kernel.sigma**2))
-    gram = 0.5 * (gram + gram.T)
-    np.fill_diagonal(gram, 1.0)
-    return gram
+def gram_matrix(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
+    """Exact N x N kernel matrix of a 1-D array (O(N^2) memory; the kernel oracles cap N).
+
+    (x_a - x_b)^2 is exactly symmetric and 0 on the diagonal, so the matrix
+    is exactly symmetric with a unit diagonal.
+    """
+    differences = np.subtract.outer(samples, samples)
+    return np.exp(-(differences * differences) / (2.0 * kernel.sigma**2))
 
 
 def approximation_error_bound(n: int, m: int) -> float:
@@ -416,11 +397,11 @@ def operator_norm(matrix: np.ndarray, seed: int = 0) -> float:
     return estimate
 
 
-def empirical_approx_error(kernel: KernelSpec, data: Dataset, m: int, seed: int) -> float:
-    """Operator norm of z(X)^T z(X) - K for one seeded feature draw."""
-    gram = gram_matrix(kernel, data)
-    fmap = draw_feature_map(kernel, m=m, d=data.d, seed=seed)
-    z = apply_feature_map(fmap, data)
+def empirical_approx_error(kernel: KernelSpec, samples: np.ndarray, m: int, seed: int) -> float:
+    """Operator norm of z(y)^T z(y) - K for a 1-D array y and one seeded feature draw."""
+    gram = gram_matrix(kernel, samples)
+    fmap = draw_feature_map(kernel, m=m, seed=seed)
+    z = apply_feature_map(fmap, samples)
     diff = z.T @ z - gram
     # Derive the power-iteration start from the same seed stream for determinism.
     return operator_norm(diff, seed=seed + 1)

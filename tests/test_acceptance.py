@@ -37,18 +37,17 @@ def report(number: int, name: str, passed: bool, detail: str = "") -> None:
 
 
 def features(x, m, seed):
-    return apply_feature_map(draw_feature_map(KERNEL, m=m, d=1, seed=seed),
-                             Dataset(np.atleast_2d(x)))
+    return apply_feature_map(draw_feature_map(KERNEL, m=m, seed=seed), x)
 
 
 def test_criterion_1_error_bound_dominance():
     n = 1000
     rng = np.random.default_rng(2024)
-    data = Dataset(rng.standard_normal((1, n)))
+    samples = rng.standard_normal(n)
     ms = (100, 200, 400, 800, 1600)
     means = []
     for m in ms:
-        errors = [empirical_approx_error(KERNEL, data, m, seed=1 + s) for s in range(10)]
+        errors = [empirical_approx_error(KERNEL, samples, m, seed=1 + s) for s in range(10)]
         means.append(float(np.mean(errors)))
     bounds = [approximation_error_bound(n, m) for m in ms]
     dominated = all(mean <= bound for mean, bound in zip(means, bounds))
@@ -66,9 +65,9 @@ def convergence_instance():
     n = 256
     x = rng.standard_normal(n)
     y = 0.7 * x + 0.714 * rng.standard_normal(n)
-    datasets = [Dataset(x[None, :]), Dataset(y[None, :])]
-    rho_oracle = rho(kernel_pencil_spectrum(datasets, KERNEL))
-    kgv_target = kgv_oracle(datasets, KERNEL)
+    components = np.vstack([x, y])
+    rho_oracle = rho(kernel_pencil_spectrum(components, KERNEL))
+    kgv_target = kgv_oracle(components, KERNEL)
     gaps = {}
     for m in (50, 1000):
         rho_gaps, rgv_gaps = [], []

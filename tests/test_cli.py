@@ -224,6 +224,8 @@ def _write_pcm(path, channels, width):
     ("separate", (2, 2), "MalformedInput"),  # stereo
     ("separate", (1, 1), "MalformedInput"),  # 8-bit
     ("separate", b"not a wav file", "MalformedInput"),
+    ("unmix", "1\n2\n", "DegenerateCovariance"),  # one sample: nothing to whiten
+    ("separate", (1, 2), "DegenerateCovariance"),  # a silent clip
 ])
 def test_malformed_input_file_exits_two(command, content, error, tmp_path, capsys):
     # the CLI reports the reader's or the fit's RicaError; no traceback

@@ -4,11 +4,10 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import rho
+from helpers import chebyshev_rows, rho
 from rica.contrast_engine import (KERNEL_ORACLE_LIMIT, CovariancePencil, covariance_blocks,
                                   kcc_oracle, kernel_pencil_spectrum, kgv_oracle, rcc, rgv,
                                   solve_pencil)
-from rica.data_model import Dataset
 from rica.errors import OracleSizeExceeded, SampleMismatch, SingularDiagonal
 from rica.random_features import (ChebyshevBasis, KernelSpec, apply_feature_map,
                                   chebyshev_coefficients, draw_feature_map)
@@ -17,8 +16,7 @@ KERNEL = KernelSpec(sigma=1.0)
 
 
 def features(x, m, seed):
-    fmap = draw_feature_map(KERNEL, m=m, d=1, seed=seed)
-    return apply_feature_map(fmap, Dataset(np.atleast_2d(x)))
+    return apply_feature_map(draw_feature_map(KERNEL, m=m, seed=seed), x)
 
 
 def test_identical_feature_matrices_give_equal_blocks():
@@ -92,10 +90,10 @@ def test_contrasts_of_the_chebyshev_pencil_equal_those_of_the_features(seed, n_s
     x = rng.standard_normal(300)
     y = np.stack([x + k * rng.standard_normal(300) for k in range(n_s)])
     radius = float(np.sqrt((y * y).sum(axis=0).max()))
-    maps = [draw_feature_map(KernelSpec(sigma=sigma), m=m, d=1, seed=seed + k) for k in range(n_s)]
+    maps = [draw_feature_map(KernelSpec(sigma=sigma), m=m, seed=seed + k) for k in range(n_s)]
     basis = ChebyshevBasis(maps, radius)
     assert (basis.degree < m) == (m == 64)
-    rows = basis.evaluate(y)
+    rows = chebyshev_rows(basis, y)
     rows -= rows.mean(axis=1, keepdims=True)
     covariance = rows @ rows.T / rows.shape[1]
     expand = scipy.linalg.block_diag(*[chebyshev_coefficients(fmap, radius, basis.degree)[:, 1:]
@@ -346,8 +344,8 @@ def _identical_features():
 
 
 def _identical_variables():
-    data = Dataset(np.random.default_rng(8).uniform(-1, 1, (1, 400)))
-    return [data, Dataset(data.values.copy())]
+    x = np.random.default_rng(8).uniform(-1, 1, 400)
+    return np.vstack([x, x])
 
 
 @pytest.mark.parametrize("contrast, reason", [
@@ -371,25 +369,23 @@ def test_kcc_oracle_identical_variable():
 
 def test_kernel_oracles_independent_baselines():
     rng = np.random.default_rng(11)
-    d1 = Dataset(rng.standard_normal((1, 500)))
-    d2 = Dataset(rng.standard_normal((1, 500)))
-    assert kcc_oracle([d1, d2], KERNEL, kappa=0.02) <= 0.1
-    assert kgv_oracle([d1, d2], KERNEL, kappa=0.02) <= 0.3
+    x, y = rng.standard_normal(500), rng.standard_normal(500)
+    assert kcc_oracle(np.vstack([x, y]), KERNEL, kappa=0.02) <= 0.1
+    assert kgv_oracle(np.vstack([x, y]), KERNEL, kappa=0.02) <= 0.3
 
 
 def test_kernel_oracle_size_cap():
-    data = Dataset(np.zeros((1, KERNEL_ORACLE_LIMIT + 1)))
     with pytest.raises(OracleSizeExceeded):
-        kgv_oracle([data, data], KERNEL, kappa=0.02)
+        kgv_oracle(np.zeros((2, KERNEL_ORACLE_LIMIT + 1)), KERNEL, kappa=0.02)
 
 
 def test_kernel_oracle_requires_positive_kappa():
     # NaN and inf once ended in a bare LinAlgError; 1e308 overflows N kappa / 2
-    data = Dataset(np.random.default_rng(0).standard_normal((1, 50)))
+    x = np.random.default_rng(0).standard_normal(50)
     for oracle in (kcc_oracle, kgv_oracle):
         for kappa in (0.0, np.nan, np.inf, 1e308):
             with pytest.raises(SingularDiagonal):
-                oracle([data, data], KERNEL, kappa=kappa)
+                oracle(np.vstack([x, x]), KERNEL, kappa=kappa)
 
 
 def test_rcc_approaches_kcc_with_many_features():
@@ -397,8 +393,7 @@ def test_rcc_approaches_kcc_with_many_features():
     n = 256
     x = rng.standard_normal(n)
     y = 0.7 * x + 0.714 * rng.standard_normal(n)
-    d1, d2 = Dataset(x[None, :]), Dataset(y[None, :])
-    target = rho(kernel_pencil_spectrum([d1, d2], KERNEL, kappa=0.002))
+    target = rho(kernel_pencil_spectrum(np.vstack([x, y]), KERNEL, kappa=0.002))
 
     def mean_gap(m):
         gaps = []
@@ -416,8 +411,7 @@ def test_rgv_approaches_kgv_with_many_features():
     n = 256
     x = rng.standard_normal(n)
     y = 0.7 * x + 0.714 * rng.standard_normal(n)
-    d1, d2 = Dataset(x[None, :]), Dataset(y[None, :])
-    target = kgv_oracle([d1, d2], KERNEL, kappa=0.002)
+    target = kgv_oracle(np.vstack([x, y]), KERNEL, kappa=0.002)
 
     def mean_gap(m):
         gaps = []
@@ -444,9 +438,7 @@ def test_kgv_angle_curve_has_interior_minimum_at_truth():
     values = []
     for phi in angles:
         q = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
-        rotated = q @ mixed
-        values.append(kgv_oracle([Dataset(rotated[0:1]), Dataset(rotated[1:2])],
-                                 KERNEL, kappa=0.02))
+        values.append(kgv_oracle(q @ mixed, KERNEL, kappa=0.02))
     best = np.rad2deg(angles[int(np.argmin(values))])
     expected = (-25.0) % 90.0
     distance = min(abs(best - expected), 90.0 - abs(best - expected))

@@ -16,6 +16,16 @@ def test_dataset_validates_shape_and_finiteness():
     assert ds.d == 2 and ds.N == 2
 
 
+def test_dataset_copies_and_leaves_the_callers_array_writeable():
+    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    ds = Dataset(values)
+    assert ds.values is not values and values.flags.writeable
+    values[0, 0] = 9.0
+    assert ds.values[0, 0] == 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.values[0, 0] = 9.0
+
+
 def test_whiten_one_dim_variance_four():
     data = Dataset([[0.0, 4.0]])  # variance 4 with the 1/N convention
     out, transform = whiten(data)

@@ -3,6 +3,8 @@
 No module imports another rica module's underscore (private) name, no
 module imports scipy, which is a test-only dependency, and no module keeps
 global state: no `logging` import, no module-level dict, list or set.
+The lower layers import few rica modules: `random_features` none, and
+`contrast_engine` only `errors` and `random_features`.
 There is one fit path: `minimize_contrast` is called only by
 `evaluation.fit_unmixing`, and a `BenchmarkConfig` is built only by
 `cli._bench_config`. Every command-line option of `cli` is read as
@@ -14,6 +16,8 @@ from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "rica").glob("*.py"))
 MUTABLE = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+# the rica modules each lower layer may import
+LAYERS = {"random_features": set(), "contrast_engine": {"errors", "random_features"}}
 
 
 def _private(name: str) -> bool:
@@ -61,6 +65,41 @@ def test_the_check_sees_both_kinds_of_violation(tmp_path):
                                 "bad.py:private name _fd_gradient",
                                 "bad.py:scipy import scipy.linalg", "bad.py:scipy import scipy",
                                 "bad.py:logging import logging"]
+
+
+def _layer_violations(path: Path, allowed: set[str]) -> list[str]:
+    """Each rica module a source file imports, by relative or absolute name, beyond `allowed`."""
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+            imported |= {parts[1] for parts in names if parts[0] == "rica" and len(parts) > 1}
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if not node.level:
+                if parts[0] != "rica":
+                    continue
+                parts = parts[1:]
+            # `from . import x` and `from rica import x` name the modules themselves
+            imported |= {parts[0]} if parts and parts[0] else {a.name for a in node.names}
+    return [f"{path.name}:imports {module}" for module in sorted(imported - allowed)]
+
+
+def test_lower_layers_import_only_what_they_may():
+    layers = [path for path in SOURCES if path.stem in LAYERS]
+    assert sorted(path.stem for path in layers) == sorted(LAYERS)
+    assert [v for path in layers for v in _layer_violations(path, LAYERS[path.stem])] == []
+
+
+def test_the_layer_check_sees_every_form_of_import(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("import numpy as np\nfrom .errors import SampleMismatch\n"
+                   "from .data_model import Dataset\nfrom . import optimizer\n"
+                   "import rica.cli\nfrom rica.evaluation import fit_unmixing\n"
+                   "from rica import audio\n")
+    assert _layer_violations(bad, LAYERS["contrast_engine"]) == [
+        "bad.py:imports audio", "bad.py:imports cli", "bad.py:imports data_model",
+        "bad.py:imports evaluation", "bad.py:imports optimizer"]
 
 
 def _fit_sites(path: Path) -> list[str]:

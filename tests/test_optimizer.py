@@ -163,6 +163,21 @@ def test_descend_raises_no_progress_on_adversarial_kink():
         descend(Kink(), np.eye(2), tol=1e-8, max_iters=5)
 
 
+def test_descend_raises_no_progress_where_backtracking_only_returns_to_the_start():
+    # slopes of the wrong sign point uphill, so the search backtracks until
+    # the trial rotation rounds to the start; its value equals the start's,
+    # which is no decrease, and must not be accepted as a step
+    class UphillSine:
+        def __call__(self, q):
+            return np.sin(np.arctan2(q[1, 0], q[0, 0]))
+
+        def slopes(self, q):
+            return np.array([-np.cos(np.arctan2(q[1, 0], q[0, 0]))])
+
+    with pytest.raises(NoProgress):
+        descend(UphillSine(), rotation(-np.pi / 2 - 0.019), tol=1e-8, max_iters=5)
+
+
 def test_descend_stops_at_a_start_stationary_to_rounding():
     # slopes of rounding size at an exact minimum are convergence, not NoProgress
     class Bowl:
@@ -390,15 +405,15 @@ def feature_slopes(data, config, q):
     themselves: -(1/N) M Zbar pulled back by d cos(wy + b)/dy = -w sin(wy + b)."""
     rotated = q @ data.values
     maps = draw_objective_maps(config, len(q))
-    feats = [apply_feature_map(fmap, Dataset(rotated[i:i + 1])) for i, fmap in enumerate(maps)]
+    feats = [apply_feature_map(fmap, rotated[i]) for i, fmap in enumerate(maps)]
     evaluation = (rgv if config.contrast == "rgv" else rcc)(covariance_blocks(feats, config.gamma))
     centered = np.vstack(feats)
     centered -= centered.mean(axis=1, keepdims=True)
     weighted = (evaluation.weights() @ centered).reshape(len(q), -1, centered.shape[1])
     scale = np.sqrt(2.0 / maps[0].m) / rotated.shape[1]
     grad = np.stack([
-        scale * (fmap.frequencies[:, 0] @ (np.sin(fmap.frequencies @ rotated[i:i + 1]
-                                                  + fmap.phases[:, None]) * weighted[i]))
+        scale * (fmap.frequencies @ (np.sin(np.multiply.outer(fmap.frequencies, rotated[i])
+                                            + fmap.phases[:, None]) * weighted[i]))
         for i, fmap in enumerate(maps)])
     a = grad @ rotated.T
     i, j = np.triu_indices(len(q), 1)
